@@ -340,9 +340,9 @@ void print_failure(std::uint64_t seed, const char* phase,
 /// topologies and link parameters; lockstep vs fast-forward must agree on
 /// every per-chip RunMetrics field, the cluster clock, and every cluster
 /// counter, with the cluster invariant checker attached throughout. With
-/// `parallel`, additionally runs the conservative parallel engine (random
-/// worker count) in both scheduler modes and bit-diffs it against the
-/// serial engine — the tentpole guarantee of the parallel simulator.
+/// `parallel`, additionally fans the per-chip engine runs out over a random
+/// number (2-5) of worker threads in both scheduler modes and bit-diffs the
+/// result against the single-threaded run.
 ///
 /// With `faults`, a seed-deterministic fault plan (link degradation + DRAM
 /// stall windows) rides along on every cluster run, the plan's timeline is
@@ -424,13 +424,12 @@ bool run_cluster_seed(std::uint64_t seed, bool verbose, bool parallel,
           gnn::model_name(model), ds.num_vertices());
     }
 
-    const unsigned jobs = 1 + static_cast<unsigned>(rng.next_below(4));
+    const unsigned jobs = 2 + static_cast<unsigned>(rng.next_below(4));
     const auto run = [&](bool fast_forward, bool parallel_engine) {
       core::AuroraConfig cfg = chip;
       cfg.fast_forward = fast_forward;
       cluster::ClusterParams p = params;
-      p.parallel = parallel_engine;
-      p.parallel_jobs = parallel_engine ? jobs : 0;
+      p.parallel_jobs = parallel_engine ? jobs : 1;
       p.fault_plan = plan;
       cluster::ClusterEngine engine(cfg, p);
       return engine.run(ds, job);
@@ -493,8 +492,7 @@ bool run_cluster_seed(std::uint64_t seed, bool verbose, bool parallel,
         core::AuroraConfig cfg = chip;
         cfg.fast_forward = fast_forward;
         cluster::ClusterParams p = params;
-        p.parallel = parallel_engine;
-        p.parallel_jobs = parallel_engine ? jobs : 0;
+        p.parallel_jobs = parallel_engine ? jobs : 1;
         p.fault_plan = plan;
         serving::ServingEngine engine(cfg, p, sp);
         return engine.run(ds, mix);
@@ -671,10 +669,9 @@ int main(int argc, char** argv) {
         "  --seed=<s>         run one seed verbosely (replay mode)\n"
         "  --cluster          fuzz the multi-chip cluster engine instead\n"
         "                     (random shard counts, topologies, link params)\n"
-        "  --parallel         with --cluster: also run the parallel\n"
-        "                     conservative engine (random worker counts) and\n"
-        "                     bit-diff it against the serial engine in both\n"
-        "                     scheduler modes\n"
+        "  --parallel         with --cluster: also fan the per-chip engine\n"
+        "                     runs out over 2-5 worker threads and bit-diff\n"
+        "                     against one worker in both scheduler modes\n"
         "  --faults           with --cluster: inject a seed-deterministic\n"
         "                     fault plan (link degradation + DRAM stalls) on\n"
         "                     the cluster run and add a serving phase with\n"

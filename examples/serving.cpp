@@ -20,8 +20,7 @@
 //                 cooperating through the inter-chip link (latency).
 //
 //   ./examples/serving [--scale=0.1] [--requests=6] [--hidden=32]
-//                      [--chips=2] [--mode=data|shard] [--parallel-sim]
-//                      [--jobs=N]
+//                      [--chips=2] [--mode=data|shard] [--jobs=1]
 //   ./examples/serving --arrival=poisson --rate=200000 --slo-us=400
 //                      [--seed=1] [--queue-depth=64] [--max-batch=4]
 //                      [--tenants=2] [--burst-mult=8] [--burst-frac=0.1]
@@ -57,6 +56,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -446,19 +446,23 @@ int run_open_loop(const CliArgs& args, const core::AuroraConfig& config,
   return emit_observability(args, tracer, runs);
 }
 
-}  // namespace
+const std::initializer_list<const char*> kFlags = {
+    "help", "scale", "requests", "hidden", "chips", "mode", "jobs",
+    "arrival", "rate", "slo-us", "seed", "queue-depth", "max-batch",
+    "tenants", "burst-mult", "burst-frac", "period-us", "amplitude",
+    "faults", "mtbf-us", "mttr-us", "max-retries", "proactive-shed",
+    "serving-out", "trace-out", "metrics-out", "critpath", "critpath-out",
+    "what-if", "allow-truncated-trace", "dynamic", "churn", "insert-frac",
+    "fanout", "batch-seeds", "reshard-threshold"};
 
-int main(int argc, char** argv) {
-  const CliArgs args(
-      argc, argv,
-      {"scale", "requests", "hidden", "chips", "mode", "parallel-sim",
-       "jobs", "arrival", "rate", "slo-us", "seed", "queue-depth",
-       "max-batch", "tenants", "burst-mult", "burst-frac", "period-us",
-       "amplitude", "faults", "mtbf-us", "mttr-us", "max-retries",
-       "proactive-shed", "serving-out", "trace-out", "metrics-out",
-       "critpath", "critpath-out", "what-if", "allow-truncated-trace",
-       "dynamic", "churn", "insert-frac", "fanout", "batch-seeds",
-       "reshard-threshold"});
+int run(int argc, char** argv) {
+  const CliArgs args(argc, argv, kFlags);
+  if (args.get_bool("help", false)) {
+    std::printf("serving — GNN inference serving on Aurora chips\n\n"
+                "usage: serving [--flag=value ...]; accepted flags:\n");
+    for (const char* flag : kFlags) std::printf("  --%s\n", flag);
+    return 0;
+  }
   const double scale = args.get_double("scale", 0.1, 1e-6, 100.0);
   const std::uint32_t hidden = args.get_uint("hidden", 32, 1);
   const auto num_requests =
@@ -496,11 +500,10 @@ int main(int argc, char** argv) {
 
   cluster::ClusterParams params;
   params.num_chips = chips;
-  // --parallel-sim runs each shard-parallel inference on the multi-threaded
-  // conservative engine (bit-identical results, lower wall clock on
-  // multi-core hosts); --jobs caps its worker threads.
-  params.parallel = args.get_bool("parallel-sim", false);
-  params.parallel_jobs = args.get_uint("jobs", 0);
+  // --jobs fans each inference's per-chip engine runs out over worker
+  // threads (0 = one per hardware thread); results are bit-identical for
+  // every value, only the wall clock changes.
+  params.parallel_jobs = args.get_uint("jobs", 1);
 
   if (args.get_bool("dynamic", false)) {
     return run_dynamic(args, config, graph_ds, hidden, params, mode, tracer);
@@ -600,4 +603,15 @@ int main(int argc, char** argv) {
     runs.push_back({dispatch_mode_name(result.mode), o.label, o.metrics});
   }
   return emit_observability(args, tracer, runs);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "serving: %s\n", e.what());
+    return 2;
+  }
 }

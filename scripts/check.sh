@@ -8,8 +8,8 @@
 #    data races over the thread-pooled bench cells and any lifetime bugs in
 #    the event-driven scheduler.
 # 4. ThreadSanitizer build (-DAURORA_SANITIZE=thread) running the cluster
-#    suite and a parallel differential fuzz batch against the
-#    multi-threaded cluster engine.
+#    suite and a differential fuzz batch with the cluster engine's per-chip
+#    runs fanned out over several worker threads.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -148,10 +148,10 @@ EOF
 ./build/bench/micro_serving --requests=12 --faults=1 --rate=4000 \
   --out=BENCH_serving_faults.json
 
-echo "== parallel engine: differential fuzz + microbenchmark =="
-# Every seed runs the cluster on the serial AND parallel engines in both
+echo "== multi-chip parallelism: differential fuzz + microbenchmark =="
+# Every seed runs the cluster with one worker AND with 2-5 workers in both
 # scheduler modes; all four results must be bit-identical. Then the
-# serial-vs-parallel wall-clock comparison at 1..16 chips (asserts
+# jobs=1-vs-jobs=N wall-clock comparison at 1..16 chips (asserts
 # bit-identity internally) writes its JSON artifact.
 ./build/bench/fuzz_sim --cluster --parallel --seeds=25
 ./build/bench/micro_clustersim | tee BENCH_clustersim.json
@@ -215,22 +215,22 @@ ctest --test-dir build-asan -L profile --output-on-failure -j
 ./build-asan/examples/simulate --dataset=cora --scale=0.03 --model=GCN \
   --critpath --what-if="link_bw=2x,dram_latency=0.5x"
 
-echo "== sanitizers: TSan build (parallel cluster engine) =="
+echo "== sanitizers: TSan build (multi-threaded cluster engine) =="
 # ThreadSanitizer cannot coexist with ASan, so it gets its own tree. The
-# attack surface is the parallel engine: the cluster test suite plus a
-# short parallel differential fuzz batch under TSan catches data races in
-# the thread pool, the coordinator barriers and the link fabric inboxes.
+# attack surface is the per-chip fan-out of ClusterEngine::run: the cluster
+# test suite plus a short multi-worker differential fuzz batch under TSan
+# catches data races between the chips' engine runs and their result slots.
 export TSAN_OPTIONS="halt_on_error=1:${TSAN_OPTIONS:-}"
 cmake -B build-tsan -S . -DAURORA_SANITIZE=thread
 cmake --build build-tsan -j --target test_cluster test_scheduler test_common \
   test_sim fuzz_sim serving
 ctest --test-dir build-tsan -L cluster --output-on-failure -j
 ./build-tsan/bench/fuzz_sim --cluster --parallel --seeds=5
-# Fault injection on the multi-threaded engine: a shard-parallel serving run
-# with chip faults (retry/failover over the parallel cluster engine) and a
+# Fault injection with two workers: a shard-parallel serving run with chip
+# faults (retry/failover over the multi-threaded cluster engine) and a
 # short fault differential batch.
 ./build-tsan/examples/serving --scale=0.02 --requests=4 --hidden=16 \
-  --chips=2 --mode=shard --parallel-sim --faults=3 --mtbf-us=300 \
+  --chips=2 --mode=shard --jobs=2 --faults=3 --mtbf-us=300 \
   --mttr-us=60
 ./build-tsan/bench/fuzz_sim --cluster --parallel --faults --seeds=3
 

@@ -9,6 +9,20 @@
 
 namespace aurora::cluster {
 
+namespace {
+
+/// The chip a message at `at` heads to next en route to `dst` (ring:
+/// shortest direction, ties clockwise; fully-connected: dst).
+std::uint32_t next_hop(const LinkParams& params, std::uint32_t num_chips,
+                       std::uint32_t at, std::uint32_t dst) {
+  if (params.topology == ClusterTopology::kFullyConnected) return dst;
+  const std::uint32_t cw = (dst + num_chips - at) % num_chips;
+  const std::uint32_t ccw = (at + num_chips - dst) % num_chips;
+  return cw <= ccw ? (at + 1) % num_chips : (at + num_chips - 1) % num_chips;
+}
+
+}  // namespace
+
 const char* topology_name(ClusterTopology t) {
   switch (t) {
     case ClusterTopology::kRing:
@@ -24,14 +38,6 @@ Cycle link_serialize_cycles(const LinkParams& params, Bytes bytes) {
       1, (bytes + params.bytes_per_cycle - 1) / params.bytes_per_cycle);
 }
 
-std::uint32_t link_next_hop(const LinkParams& params, std::uint32_t num_chips,
-                            std::uint32_t at, std::uint32_t dst) {
-  if (params.topology == ClusterTopology::kFullyConnected) return dst;
-  const std::uint32_t cw = (dst + num_chips - at) % num_chips;
-  const std::uint32_t ccw = (at + num_chips - dst) % num_chips;
-  return cw <= ccw ? (at + 1) % num_chips : (at + num_chips - 1) % num_chips;
-}
-
 std::uint32_t link_route_hops(const LinkParams& params, std::uint32_t num_chips,
                               std::uint32_t src, std::uint32_t dst) {
   AURORA_CHECK(src < num_chips && dst < num_chips && src != dst);
@@ -39,24 +45,6 @@ std::uint32_t link_route_hops(const LinkParams& params, std::uint32_t num_chips,
   const std::uint32_t cw = (dst + num_chips - src) % num_chips;
   const std::uint32_t ccw = (src + num_chips - dst) % num_chips;
   return std::min(cw, ccw);
-}
-
-std::size_t link_wire_index(const LinkParams& params, std::uint32_t num_chips,
-                            std::uint32_t from, std::uint32_t to) {
-  if (params.topology == ClusterTopology::kRing) {
-    return 2 * static_cast<std::size_t>(from) +
-           (to == (from + 1) % num_chips ? 0 : 1);
-  }
-  return static_cast<std::size_t>(from) * (num_chips - 1) +
-         (to < from ? to : to - 1);
-}
-
-std::size_t link_num_wires(const LinkParams& params, std::uint32_t num_chips) {
-  if (num_chips < 2) return 0;
-  if (params.topology == ClusterTopology::kRing) {
-    return 2 * static_cast<std::size_t>(num_chips);
-  }
-  return static_cast<std::size_t>(num_chips) * (num_chips - 1);
 }
 
 LinkTransmitTiming link_transmit_timing(const LinkParams& params,
@@ -69,7 +57,7 @@ LinkTransmitTiming link_transmit_timing(const LinkParams& params,
   const double mult = plan->wire_multiplier_at(from, to, now);
   if (mult <= 1.0) return t;
   // Degradation only ever lengthens (mult >= 1 by construction), so the
-  // parallel simulator's hop_latency-based lookahead stays a lower bound.
+  // cluster engine's deadlock bound scales by the plan's worst multiplier.
   const auto stretched = static_cast<Cycle>(
       std::ceil(static_cast<double>(t.serialize) * mult));
   t.degraded_extra = stretched - t.serialize;
@@ -98,23 +86,17 @@ InterChipLink::InterChipLink(std::uint32_t num_chips, const LinkParams& params)
   }
 }
 
-Cycle InterChipLink::serialize_cycles(Bytes bytes) const {
-  return link_serialize_cycles(params_, bytes);
-}
-
-std::uint32_t InterChipLink::next_hop(std::uint32_t at,
-                                      std::uint32_t dst) const {
-  return link_next_hop(params_, num_chips_, at, dst);
-}
-
-std::uint32_t InterChipLink::route_hops(std::uint32_t src,
-                                        std::uint32_t dst) const {
-  return link_route_hops(params_, num_chips_, src, dst);
-}
-
-std::size_t InterChipLink::wire_index(std::uint32_t from,
-                                      std::uint32_t to) const {
-  return link_wire_index(params_, num_chips_, from, to);
+InterChipLink::Wire& InterChipLink::next_wire(std::uint32_t at,
+                                              std::uint32_t dst) {
+  const std::uint32_t to = next_hop(params_, num_chips_, at, dst);
+  // Index layout matches the constructor: ring wire 2i = i -> i+1
+  // (clockwise), 2i+1 = i -> i-1; fully-connected row-major by source.
+  if (params_.topology == ClusterTopology::kRing) {
+    return wires_[2 * static_cast<std::size_t>(at) +
+                  (to == (at + 1) % num_chips_ ? 0 : 1)];
+  }
+  return wires_[static_cast<std::size_t>(at) * (num_chips_ - 1) +
+                (to < at ? to : to - 1)];
 }
 
 void InterChipLink::send(LinkMessage msg, Cycle now) {
@@ -125,8 +107,7 @@ void InterChipLink::send(LinkMessage msg, Cycle now) {
   msg.enqueued_at = now;
   stats_.messages_sent += 1;
   stats_.bytes_sent += msg.bytes;
-  wires_[wire_index(msg.src, next_hop(msg.src, msg.dst))].queue.push_back(
-      msg);
+  next_wire(msg.src, msg.dst).queue.push_back(msg);
   wake();
 }
 
@@ -143,7 +124,7 @@ void InterChipLink::arrive(const LinkMessage& msg, std::uint32_t at,
   }
   LinkMessage forwarded = msg;
   forwarded.enqueued_at = now;
-  wires_[wire_index(at, next_hop(at, msg.dst))].queue.push_back(forwarded);
+  next_wire(at, msg.dst).queue.push_back(forwarded);
 }
 
 void InterChipLink::tick(Cycle now) {

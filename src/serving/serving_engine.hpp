@@ -2,11 +2,11 @@
 // batching -> cluster dispatch.
 //
 // Drives the existing dispatch layers (core::Scheduler's overlap model via
-// cluster::ClusterScheduler, both data-parallel and shard-parallel, serial
-// or parallel simulation) with requests that arrive on their own clock, and
-// reports what a deployment actually tunes against: goodput under SLO, shed
-// rate, and the queue-wait vs service-time split behind each latency
-// percentile. Fully deterministic for a fixed seed.
+// cluster::ClusterScheduler, both data-parallel and shard-parallel) with
+// requests that arrive on their own clock, and reports what a deployment
+// actually tunes against: goodput under SLO, shed rate, and the queue-wait
+// vs service-time split behind each latency percentile. Fully deterministic
+// for a fixed seed.
 //
 // The event loop is intentionally simple: advance to the earliest cycle a
 // serving unit frees up, admit everything that has arrived by then, pop a

@@ -8,7 +8,7 @@
 // wrap into a graph::Dataset and hand to core::Scheduler or ClusterScheduler
 // as an ordinary job. All randomness flows through aurora::Rng seeded from
 // (params.seed, salt), so a fixed seed reproduces a batch bit-for-bit across
-// serial/parallel and lockstep/fast-forward simulation modes.
+// worker counts and lockstep/fast-forward simulation modes.
 #pragma once
 
 #include <cstdint>

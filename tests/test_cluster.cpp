@@ -1,11 +1,13 @@
 // Tests for the multi-chip scale-out subsystem: the shard planner's cut and
 // ghost bookkeeping, the inter-chip link's cycle-level behaviour and
-// conservation laws, the cluster engine's single-chip equivalence and
-// multi-chip halo exchange, and the cluster-level serving scheduler.
+// conservation laws, the cluster engine's single-chip equivalence,
+// multi-chip halo exchange, worker-count independence and golden
+// fingerprints, and the cluster-level serving scheduler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,8 +21,10 @@
 #include "common/rng.hpp"
 #include "core/aurora.hpp"
 #include "core/report.hpp"
+#include "fault/fault.hpp"
 #include "graph/degree.hpp"
 #include "graph/generators.hpp"
+#include "serving/serving_engine.hpp"
 #include "sim/invariants.hpp"
 #include "sim/perfetto.hpp"
 #include "sim/simulator.hpp"
@@ -180,6 +184,8 @@ TEST(InterChipLink, SerializationAndFlightTiming) {
   const auto deliveries = drive_link(link, /*fast_forward=*/true);
   ASSERT_EQ(deliveries.size(), 1u);
   // Eligible at 1, serialises 64/32 = 2 cycles, flies 10: arrives at 13.
+  EXPECT_EQ(cluster::link_serialize_cycles(params, 64), 2u);
+  EXPECT_EQ(cluster::link_serialize_cycles(params, 1), 1u);
   EXPECT_EQ(deliveries[0].at, 13u);
   EXPECT_EQ(link.stats().messages_delivered, 1u);
   EXPECT_EQ(link.stats().bytes_delivered, 64u);
@@ -191,9 +197,9 @@ TEST(InterChipLink, RingRoutesShortestPathStoreAndForward) {
   cluster::LinkParams params;
   params.topology = cluster::ClusterTopology::kRing;
   cluster::InterChipLink ring(4, params);
-  EXPECT_EQ(ring.route_hops(0, 2), 2u);
-  EXPECT_EQ(ring.route_hops(0, 3), 1u);
-  EXPECT_EQ(ring.route_hops(3, 1), 2u);
+  EXPECT_EQ(cluster::link_route_hops(params, 4, 0, 2), 2u);
+  EXPECT_EQ(cluster::link_route_hops(params, 4, 0, 3), 1u);
+  EXPECT_EQ(cluster::link_route_hops(params, 4, 3, 1), 2u);
   cluster::LinkMessage msg;
   msg.src = 0;
   msg.dst = 2;
@@ -206,7 +212,7 @@ TEST(InterChipLink, RingRoutesShortestPathStoreAndForward) {
 
   params.topology = cluster::ClusterTopology::kFullyConnected;
   cluster::InterChipLink full(4, params);
-  EXPECT_EQ(full.route_hops(0, 2), 1u);
+  EXPECT_EQ(cluster::link_route_hops(params, 4, 0, 2), 1u);
   EXPECT_EQ(full.num_wires(), 12u);  // N(N-1) directed wires
   full.send(msg, 0);
   (void)drive_link(full, true);
@@ -462,12 +468,13 @@ TEST(ClusterEngine, PerfettoTraceCarriesPerChipTracks) {
   EXPECT_NE(json.find("\"pid\": 1"), std::string::npos);
 }
 
-// -------------------------------------------------- parallel engine
+// ------------------------------------------------- per-chip fan-out
 
-// The non-negotiable contract: the multi-threaded conservative engine must
-// reproduce the serial engine's ClusterRunMetrics bit for bit — every chip's
-// RunMetrics, halo fields, link stats including histogram buckets, and the
-// counter set — across topologies, chip counts and both scheduler modes.
+// The non-negotiable contract: fanning the per-chip engine runs out over
+// worker threads must reproduce the single-threaded ClusterRunMetrics bit
+// for bit — every chip's RunMetrics, halo fields, link stats including
+// histogram buckets, and the counter set — across topologies, chip counts
+// and both scheduler modes.
 TEST(ParallelEngine, BitIdenticalToSerialAcrossTopologiesAndModes) {
   const graph::Dataset ds = make_test_dataset(60, 150, 41);
   const core::GnnJob job =
@@ -477,20 +484,19 @@ TEST(ParallelEngine, BitIdenticalToSerialAcrossTopologiesAndModes) {
          {cluster::ClusterTopology::kRing,
           cluster::ClusterTopology::kFullyConnected}) {
       for (const bool fast_forward : {false, true}) {
-        const auto run = [&](bool parallel) {
+        const auto run = [&](unsigned jobs) {
           core::AuroraConfig cfg = small_config();
           cfg.fast_forward = fast_forward;
           cluster::ClusterParams params;
           params.num_chips = chips;
           params.strategy = cluster::ShardStrategy::kHash;
           params.link.topology = topology;
-          params.parallel = parallel;
-          params.parallel_jobs = 2;
+          params.parallel_jobs = jobs;
           cluster::ClusterEngine engine(cfg, params);
           return engine.run(ds, job);
         };
-        const cluster::ClusterRunMetrics serial = run(false);
-        const cluster::ClusterRunMetrics parallel = run(true);
+        const cluster::ClusterRunMetrics serial = run(1);
+        const cluster::ClusterRunMetrics parallel = run(3);
         const auto diffs =
             cluster::diff_cluster_run_metrics(serial, parallel);
         EXPECT_TRUE(diffs.empty())
@@ -514,7 +520,6 @@ TEST(ParallelEngine, DeterministicAcrossWorkerCountsAndRepeats) {
     cfg.fast_forward = true;
     cluster::ClusterParams params;
     params.num_chips = 3;
-    params.parallel = true;
     params.parallel_jobs = jobs;
     cluster::ClusterEngine engine(cfg, params);
     return engine.run(ds, job);
@@ -531,27 +536,26 @@ TEST(ParallelEngine, DeterministicAcrossWorkerCountsAndRepeats) {
   }
 }
 
-// config.check_invariants attaches one checker per partition (proxy + link
-// endpoint) plus the fabric's cross-partition conservation laws; a healthy
-// run passes them and still matches the serial engine bit for bit.
+// config.check_invariants watches the link and every proxy; a healthy
+// multi-threaded run passes them and still matches one worker bit for bit.
 TEST(ParallelEngine, InvariantCheckerCompatible) {
   const graph::Dataset ds = make_test_dataset(50, 120, 47);
   const core::GnnJob job =
       core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8);
   for (const bool fast_forward : {false, true}) {
-    const auto run = [&](bool parallel) {
+    const auto run = [&](unsigned jobs) {
       core::AuroraConfig cfg = small_config();
       cfg.fast_forward = fast_forward;
       cfg.check_invariants = true;
       cfg.invariant_interval = 64;
       cluster::ClusterParams params;
       params.num_chips = 3;
-      params.parallel = parallel;
+      params.parallel_jobs = jobs;
       cluster::ClusterEngine engine(cfg, params);
       return engine.run(ds, job);
     };
-    const cluster::ClusterRunMetrics serial = run(false);
-    const cluster::ClusterRunMetrics parallel = run(true);
+    const cluster::ClusterRunMetrics serial = run(1);
+    const cluster::ClusterRunMetrics parallel = run(3);
     const auto diffs = cluster::diff_cluster_run_metrics(serial, parallel);
     EXPECT_TRUE(diffs.empty())
         << (fast_forward ? "fast-forward" : "lockstep") << ": "
@@ -559,26 +563,34 @@ TEST(ParallelEngine, InvariantCheckerCompatible) {
   }
 }
 
-// Partition trace shards merged by (record cycle, class, subkey) reproduce
-// the serial tracer's append order exactly — same records, same sequence.
+// Each chip's engine records into its own tracer, so the per-chip traces
+// and the cluster-clock trace are the same records in the same sequence
+// whatever the worker count.
 TEST(ParallelEngine, TraceMatchesSerial) {
   const graph::Dataset ds = make_test_dataset(50, 120, 53);
   const core::GnnJob job =
       core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8);
-  const auto trace = [&](bool parallel) {
+  constexpr std::uint32_t kChips = 3;
+  const auto trace = [&](unsigned jobs) {
     cluster::ClusterParams params;
-    params.num_chips = 3;
-    params.parallel = parallel;
+    params.num_chips = kChips;
+    params.parallel_jobs = jobs;
     cluster::ClusterEngine engine(small_config(), params);
-    sim::Tracer tracer;
-    tracer.enable();
-    engine.set_tracer(&tracer);
+    std::vector<sim::Tracer> tracers(kChips + 1);
+    for (sim::Tracer& t : tracers) t.enable();
+    engine.set_tracer(&tracers[kChips]);
+    for (std::uint32_t c = 0; c < kChips; ++c) {
+      engine.set_chip_tracer(c, &tracers[c]);
+    }
     (void)engine.run(ds, job);
-    return std::vector<sim::TraceRecord>(tracer.records().begin(),
-                                         tracer.records().end());
+    std::vector<sim::TraceRecord> out;
+    for (const sim::Tracer& t : tracers) {
+      out.insert(out.end(), t.records().begin(), t.records().end());
+    }
+    return out;
   };
-  const std::vector<sim::TraceRecord> serial = trace(false);
-  const std::vector<sim::TraceRecord> parallel = trace(true);
+  const std::vector<sim::TraceRecord> serial = trace(1);
+  const std::vector<sim::TraceRecord> parallel = trace(3);
   ASSERT_EQ(serial.size(), parallel.size());
   ASSERT_GT(serial.size(), 0u);
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -591,16 +603,16 @@ TEST(ParallelEngine, TraceMatchesSerial) {
   }
 }
 
-// register_metrics after a parallel run publishes the same cluster.* probe
-// names and values as the serial engine's registration.
+// register_metrics after a multi-threaded run publishes the same cluster.*
+// probe names and values as a single-threaded run.
 TEST(ParallelEngine, RegistryMatchesSerial) {
   const graph::Dataset ds = make_test_dataset(40, 90, 59);
   const core::GnnJob job =
       core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8);
-  const auto probe = [&](bool parallel) {
+  const auto probe = [&](unsigned jobs) {
     cluster::ClusterParams params;
     params.num_chips = 2;
-    params.parallel = parallel;
+    params.parallel_jobs = jobs;
     cluster::ClusterEngine engine(small_config(), params);
     (void)engine.run(ds, job);
     MetricsRegistry registry;
@@ -614,9 +626,172 @@ TEST(ParallelEngine, RegistryMatchesSerial) {
     }
     return out;
   };
-  const auto serial = probe(false);
-  const auto parallel = probe(true);
+  const auto serial = probe(1);
+  const auto parallel = probe(2);
   EXPECT_EQ(serial, parallel);
+}
+
+// ----------------------------------------------------------- golden
+
+// FNV-1a over 64-bit words and strings: a compiler-independent fingerprint
+// of everything integer-valued a cluster run reports.
+class Fingerprint {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) mix(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void add(const std::string& s) {
+    for (const char ch : s) mix(static_cast<std::uint8_t>(ch));
+    add(s.size());
+  }
+  void add(const Histogram& h) {
+    add(h.total());
+    for (std::size_t i = 0; i < h.num_buckets(); ++i) add(h.bucket_count(i));
+  }
+  void add(const CounterSet& counters) {
+    for (const auto& [name, value] : counters.all()) {
+      add(name);
+      add(value);
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  void mix(std::uint8_t byte) {
+    h_ ^= byte;
+    h_ *= 1099511628211ULL;
+  }
+  std::uint64_t h_ = 14695981039346656037ULL;
+};
+
+// Integer fields only: doubles (energy, averages, replication factor) are
+// left out so the fingerprint does not depend on floating-point codegen.
+std::uint64_t fingerprint(const cluster::ClusterRunMetrics& r) {
+  Fingerprint f;
+  f.add(r.total_cycles);
+  f.add(r.cut_edges);
+  f.add(r.ghost_vertices);
+  for (const cluster::ChipRun& chip : r.chips) {
+    const core::RunMetrics& m = chip.metrics;
+    for (const std::uint64_t v :
+         {m.total_cycles, m.compute_cycles, m.onchip_comm_cycles,
+          m.dram_cycles, m.reconfig_cycles, m.dram_bytes, m.dram_accesses,
+          m.noc_messages, m.bypass_messages, m.events.fp_multiplies,
+          m.events.fp_adds, m.events.sram_small_bytes,
+          m.events.sram_large_bytes, m.events.dram_bytes,
+          m.events.noc_link_bytes, m.events.router_bytes,
+          m.events.bypass_link_bytes, m.events.reconfig_switch_writes,
+          m.events.active_cycles, std::uint64_t{m.partition_a},
+          std::uint64_t{m.partition_b}, std::uint64_t{m.num_subgraphs},
+          m.reconfigurations, m.switch_writes}) {
+      f.add(v);
+    }
+    for (const core::PhaseMetrics& p : m.phases) {
+      f.add(p.active_cycles);
+      f.add(p.dram_bytes);
+      f.add(p.noc_messages);
+    }
+    f.add(m.counters);
+    f.add(m.noc_packet_latency);
+    f.add(m.dram_request_latency);
+    f.add(chip.finish_cycle);
+    f.add(chip.halo_wait_cycles);
+    f.add(chip.halo_bytes_sent);
+    f.add(chip.halo_bytes_received);
+  }
+  const cluster::LinkStats& l = r.link;
+  for (const std::uint64_t v :
+       {l.messages_sent, l.messages_delivered, l.bytes_sent,
+        l.bytes_delivered, l.hops, l.bytes_hopped, l.serialize_cycles,
+        l.stall_cycles, l.degraded_sends, l.degraded_extra_cycles}) {
+    f.add(v);
+  }
+  f.add(l.latency);
+  f.add(r.counters);
+  return f.value();
+}
+
+// Fixed fingerprints of known-good runs: any refactor of the cluster engine
+// must leave every cell unchanged, for one worker and for several.
+TEST(ClusterGolden, RunMetricsFingerprintsUnchanged) {
+  struct Cell {
+    std::uint32_t chips;
+    cluster::ClusterTopology topology;
+    bool faults;
+    std::uint64_t expected;
+  };
+  constexpr auto kRing = cluster::ClusterTopology::kRing;
+  constexpr auto kFull = cluster::ClusterTopology::kFullyConnected;
+  const Cell cells[] = {
+      {1, kRing, false, 0x55c6e37174846be8ULL},
+      {1, kRing, true, 0x55c6e37174846be8ULL},
+      {1, kFull, false, 0x55c6e37174846be8ULL},
+      {1, kFull, true, 0x55c6e37174846be8ULL},
+      {2, kRing, false, 0xd4b475bd1178bc62ULL},
+      {2, kRing, true, 0x6113ab83d4b27822ULL},
+      {2, kFull, false, 0xd4b475bd1178bc62ULL},
+      {2, kFull, true, 0x6113ab83d4b27822ULL},
+      {4, kRing, false, 0x0cd4abe2fda10269ULL},
+      {4, kRing, true, 0xf8a7e79a87255f6fULL},
+      {4, kFull, false, 0xd25ad7041e8ed09dULL},
+      {4, kFull, true, 0x828e79659a133a40ULL},
+  };
+  const graph::Dataset ds = make_test_dataset(80, 240, 71);
+  const core::GnnJob job =
+      core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8);
+  for (const Cell& cell : cells) {
+    cluster::ClusterParams params;
+    params.num_chips = cell.chips;
+    params.strategy = cluster::ShardStrategy::kHash;
+    params.link.topology = cell.topology;
+    params.link.bytes_per_cycle = 8;
+    if (cell.faults) {
+      fault::FaultParams fp;
+      fp.seed = 13;
+      fp.horizon = 2'000'000;
+      fp.link_mtbf = 1'000.0;
+      fp.link_mttr = 4'000.0;
+      fp.link_multiplier_min = 2.0;
+      fp.link_multiplier_max = 6.0;
+      params.fault_plan = std::make_shared<fault::FaultPlan>(
+          fault::FaultPlan::generate(fp, cell.chips));
+    }
+    for (const unsigned jobs : {1u, 3u}) {
+      params.parallel_jobs = jobs;
+      cluster::ClusterEngine engine(small_config(), params);
+      const cluster::ClusterRunMetrics result = engine.run(ds, job);
+      if (cell.faults && cell.chips > 1) {
+        EXPECT_GT(result.link.degraded_sends, 0u);
+      }
+      EXPECT_EQ(fingerprint(result), cell.expected)
+          << cell.chips << " chip(s), " << topology_name(cell.topology)
+          << (cell.faults ? ", link faults" : "") << ", jobs " << jobs
+          << ": actual 0x" << std::hex << fingerprint(result);
+    }
+  }
+}
+
+TEST(ClusterGolden, ShardModeServingReportUnchanged) {
+  const graph::Dataset ds = make_test_dataset(60, 150, 9);
+  serving::ServingParams params;
+  params.seed = 5;
+  params.num_requests = 6;
+  params.queue_depth = 8;
+  params.arrival.rate_per_mcycle = 100.0;
+  params.slo_cycles = 500000;
+  params.mode = cluster::DispatchMode::kShardParallel;
+  cluster::ClusterParams cluster_params;
+  cluster_params.num_chips = 2;
+  serving::ServingEngine engine(small_config(), cluster_params, params);
+  const serving::ServingReport report = engine.run(
+      ds, {{core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8), "gcn",
+            1.0, 0},
+           {core::GnnJob::two_layer(gnn::GnnModel::kAgnn, ds.spec, 8), "agnn",
+            1.0, 0}});
+  Fingerprint f;
+  f.add(serving::serving_report_json(report));
+  EXPECT_EQ(f.value(), 0x7c220fc230e65e31ULL)
+      << "actual 0x" << std::hex << f.value();
 }
 
 // -------------------------------------------------------------- scheduler

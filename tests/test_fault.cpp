@@ -182,8 +182,7 @@ TEST(LinkFaults, DegradationLengthensRunsAndKeepsFlavoursIdentical) {
     core::AuroraConfig cfg = small_config();
     cfg.fast_forward = fast_forward;
     cluster::ClusterParams p = params;
-    p.parallel = parallel;
-    p.parallel_jobs = parallel ? 2 : 0;
+    p.parallel_jobs = parallel ? 2 : 1;
     if (faulty) p.fault_plan = plan;
     cluster::ClusterEngine engine(cfg, p);
     return engine.run(ds, job);
@@ -460,8 +459,7 @@ TEST(ServingFaults, FaultyRunsBitIdenticalAcrossEngineFlavours) {
     core::AuroraConfig cfg = small_config();
     cfg.fast_forward = fast_forward;
     cluster::ClusterParams cp = cluster_params;
-    cp.parallel = parallel;
-    cp.parallel_jobs = parallel ? 2 : 0;
+    cp.parallel_jobs = parallel ? 2 : 1;
     serving::ServingEngine engine(cfg, cp, params);
     return engine.run(ds, small_mix(ds.spec));
   };

@@ -145,12 +145,12 @@ TEST(CritPath, ClusterReportsIdenticalAcrossEngineModes) {
   const graph::Dataset ds = make_test_dataset(50, 120, 23);
   const core::GnnJob job =
       core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8);
-  const auto report_json = [&](bool parallel, bool fast_forward) {
+  const auto report_json = [&](unsigned jobs, bool fast_forward) {
     core::AuroraConfig cfg = small_config();
     cfg.fast_forward = fast_forward;
     cluster::ClusterParams params;
     params.num_chips = 3;
-    params.parallel = parallel;
+    params.parallel_jobs = jobs;
     cluster::ClusterEngine engine(cfg, params);
     sim::Tracer tracer;
     tracer.enable();
@@ -161,10 +161,10 @@ TEST(CritPath, ClusterReportsIdenticalAcrossEngineModes) {
     return profile::critpath_report_json(
         profile::analyze_critical_path(tracer, opts));
   };
-  const std::string reference = report_json(false, false);
-  EXPECT_EQ(reference, report_json(false, true));
-  EXPECT_EQ(reference, report_json(true, false));
-  EXPECT_EQ(reference, report_json(true, true));
+  const std::string reference = report_json(1, false);
+  EXPECT_EQ(reference, report_json(1, true));
+  EXPECT_EQ(reference, report_json(3, false));
+  EXPECT_EQ(reference, report_json(3, true));
 }
 
 // ------------------------------------------------------------ what-if

@@ -1,7 +1,7 @@
 // Tests for the open-loop serving subsystem: seed-deterministic arrival
 // processes, admission/shed accounting, EDF-with-fairness queue ordering,
 // dynamic-batching bit-identity, closed-loop equivalence with the
-// single-chip scheduler, and serial vs parallel-sim determinism.
+// single-chip scheduler, and determinism across cluster worker counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -362,14 +362,14 @@ TEST(ServingEngine, SerialAndParallelSimAgreeBitForBit) {
 
   cluster::ClusterParams serial_params;
   serial_params.num_chips = 2;
-  serial_params.parallel = false;
+  serial_params.parallel_jobs = 1;
   serving::ServingEngine serial(config, serial_params, params);
   const serving::ServingReport serial_report =
       serial.run(ds, small_mix(ds.spec));
 
   cluster::ClusterParams parallel_params;
   parallel_params.num_chips = 2;
-  parallel_params.parallel = true;
+  parallel_params.parallel_jobs = 2;
   serving::ServingEngine parallel(config, parallel_params, params);
   const serving::ServingReport parallel_report =
       parallel.run(ds, small_mix(ds.spec));

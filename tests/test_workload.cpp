@@ -2,7 +2,7 @@
 // semantics and compaction bit-identity, seed-deterministic neighbor
 // sampling, the interleaved update/query workload generator, churn-aware
 // shard maintenance, and end-to-end dynamic serving determinism across
-// lockstep/fast-forward and serial/parallel cluster simulation.
+// lockstep/fast-forward simulation and single/multi-threaded cluster runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -477,7 +477,7 @@ TEST(DynamicServing, BitIdenticalAcrossSimulationModes) {
   // The acceptance criterion: a dynamic workload's serving report —
   // per-request sampled datasets dispatched through the cluster scheduler —
   // is bit-identical across lockstep vs fast-forward chip simulation and
-  // serial vs parallel cluster simulation.
+  // one vs several cluster worker threads.
   const graph::Dataset parent = make_test_dataset(100, 300, 71);
   const core::GnnJob job =
       core::GnnJob::two_layer(gnn::GnnModel::kGcn, parent.spec, 8);
@@ -498,12 +498,12 @@ TEST(DynamicServing, BitIdenticalAcrossSimulationModes) {
   std::vector<serving::ServingReport> reports;
   for (const bool shard_mode : {false, true}) {
     for (const bool fast_forward : {false, true}) {
-      for (const bool parallel : {false, true}) {
+      for (const unsigned jobs : {1u, 2u}) {
         core::AuroraConfig cfg = small_config();
         cfg.fast_forward = fast_forward;
         cluster::ClusterParams cp;
         cp.num_chips = 2;
-        cp.parallel = parallel;
+        cp.parallel_jobs = jobs;
         sp.mode = shard_mode ? cluster::DispatchMode::kShardParallel
                              : cluster::DispatchMode::kDataParallel;
         serving::ServingEngine engine(cfg, cp, sp);
