@@ -6,7 +6,8 @@
 // Two serving modes:
 //
 //   * Closed loop (default): a fixed queue of --requests requests replayed
-//     back to back, as a capacity benchmark.
+//     back to back, as a capacity benchmark — the same serving engine with
+//     every arrival at cycle 0, no batching and nothing shed.
 //   * Open loop (--arrival=poisson|bursty|diurnal): requests arrive on
 //     their own clock from a seed-deterministic arrival process, pass an
 //     admission-controlled queue (EDF within priority classes, per-tenant
@@ -57,7 +58,6 @@
 #include <array>
 #include <cstdio>
 #include <initializer_list>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -67,12 +67,10 @@
 #include "cluster/cluster_scheduler.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
-#include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "core/aurora.hpp"
 #include "core/report.hpp"
-#include "core/scheduler.hpp"
 #include "profile/critpath.hpp"
 #include "serving/serving_engine.hpp"
 #include "sim/perfetto.hpp"
@@ -83,18 +81,6 @@
 namespace {
 
 using namespace aurora;
-
-void print_latency_percentiles(const std::vector<Cycle>& latencies,
-                               double frequency_mhz) {
-  std::vector<double> samples;
-  samples.reserve(latencies.size());
-  for (const Cycle l : latencies) samples.push_back(static_cast<double>(l));
-  const auto us = [&](double cycles) { return cycles / frequency_mhz; };
-  std::printf("latency percentiles over %zu request(s): "
-              "p50 %.2f us, p95 %.2f us, p99 %.2f us\n",
-              latencies.size(), us(percentile(samples, 0.50)),
-              us(percentile(samples, 0.95)), us(percentile(samples, 0.99)));
-}
 
 /// Shared tail of all serving paths: truncation warning, critical-path
 /// analysis (table + JSON + counters merged into the last request), the
@@ -157,6 +143,107 @@ int emit_observability(const CliArgs& args, const sim::Tracer& tracer,
   return 0;
 }
 
+/// Shared tail of the closed- and open-loop paths: the per-request table,
+/// the summary, the serving JSON and the observability outputs. Only an
+/// open loop injects --faults, and only there do the report's serving.*
+/// counters say more than constants; they then ride the last run so
+/// --metrics-out and downstream grids see them next to the per-request
+/// metrics.
+int report_serving(const CliArgs& args, const core::AuroraConfig& config,
+                   const serving::ServingReport& report,
+                   const std::string& headline, bool open_loop,
+                   sim::Tracer& tracer) {
+  const bool shard = report.mode == cluster::DispatchMode::kShardParallel;
+  AsciiTable table({"request", "tenant", "chip", "arrival", "start",
+                    "finish", "wait (us)", "service (us)", "a:b split",
+                    "SLO"});
+  const auto us = [&](Cycle cycles) {
+    return to_fixed(static_cast<double>(cycles) / config.frequency_mhz, 2);
+  };
+  for (const auto& r : report.served) {
+    table.add_row({r.label + (r.batched_follower ? " (batched)" : ""),
+                   std::to_string(r.tenant),
+                   shard ? "all" : std::to_string(r.chip),
+                   std::to_string(r.arrival), std::to_string(r.start),
+                   std::to_string(r.finish), us(r.queue_wait()),
+                   us(r.service_time()),
+                   std::to_string(r.metrics.partition_a) + ":" +
+                       std::to_string(r.metrics.partition_b),
+                   report.slo_cycles == 0 ? "-"
+                                          : (r.met_slo() ? "ok" : "MISS")});
+  }
+  table.print();
+
+  std::printf("\n%s\n", headline.c_str());
+  std::printf("generated %llu, admitted %llu, shed %llu (shed rate %.1f%%)\n",
+              static_cast<unsigned long long>(report.generated),
+              static_cast<unsigned long long>(report.admitted),
+              static_cast<unsigned long long>(report.shed),
+              100.0 * report.shed_rate());
+  if (report.slo_cycles > 0) {
+    std::printf("goodput under %.0f us SLO: %llu/%llu requests (%.0f req/s)\n",
+                static_cast<double>(report.slo_cycles) / config.frequency_mhz,
+                static_cast<unsigned long long>(report.met_slo_count()),
+                static_cast<unsigned long long>(report.generated),
+                report.goodput_rps());
+  }
+  const auto pct_us = [&](double cycles) {
+    return cycles / config.frequency_mhz;
+  };
+  std::printf("latency    p50 %.2f us, p95 %.2f us, p99 %.2f us\n",
+              pct_us(report.latency_percentile(0.50)),
+              pct_us(report.latency_percentile(0.95)),
+              pct_us(report.latency_percentile(0.99)));
+  std::printf("queue wait p50 %.2f us, p95 %.2f us, p99 %.2f us\n",
+              pct_us(report.queue_wait_percentile(0.50)),
+              pct_us(report.queue_wait_percentile(0.95)),
+              pct_us(report.queue_wait_percentile(0.99)));
+  std::printf("service    p50 %.2f us, p95 %.2f us, p99 %.2f us\n",
+              pct_us(report.service_percentile(0.50)),
+              pct_us(report.service_percentile(0.95)),
+              pct_us(report.service_percentile(0.99)));
+  std::printf("horizon %llu cycles (%.2f us); batches %llu (%llu batched "
+              "follower(s), %llu reconfig cycles saved); overlap hid %llu "
+              "cycles\n",
+              static_cast<unsigned long long>(report.horizon),
+              pct_us(static_cast<double>(report.horizon)),
+              static_cast<unsigned long long>(report.batches),
+              static_cast<unsigned long long>(report.batched_followers),
+              static_cast<unsigned long long>(report.reconfig_savings),
+              static_cast<unsigned long long>(report.overlap_savings));
+  if ((open_loop && args.has("faults")) || report.failed_attempts > 0 ||
+      report.shed_expired > 0) {
+    std::printf("availability: %llu failed attempt(s), %llu retry(ies), "
+                "%llu failed over, %llu failed permanently\n",
+                static_cast<unsigned long long>(report.failed_attempts),
+                static_cast<unsigned long long>(report.retries),
+                static_cast<unsigned long long>(report.failed_over),
+                static_cast<unsigned long long>(report.failed_permanently));
+    std::printf("              %llu shed expired (proactive), %llu shard "
+                "fallback(s); completed %zu/%llu admitted\n",
+                static_cast<unsigned long long>(report.shed_expired),
+                static_cast<unsigned long long>(report.shard_fallbacks),
+                report.served.size(),
+                static_cast<unsigned long long>(report.admitted));
+  }
+
+  const std::string serving_out = args.get_string("serving-out", "");
+  if (!serving_out.empty()) {
+    core::write_json_file(serving_out, serving::serving_report_json(report));
+    std::printf("serving JSON: %s\n", serving_out.c_str());
+  }
+
+  std::vector<core::NamedRun> runs;
+  for (const auto& r : report.served) {
+    runs.push_back({cluster::dispatch_mode_name(report.mode), r.label,
+                    r.metrics});
+  }
+  if (open_loop && !runs.empty()) {
+    runs.back().metrics.counters.merge(report.counters());
+  }
+  return emit_observability(args, tracer, runs);
+}
+
 /// Dynamic-graph serving (--dynamic): one seed-deterministic event stream
 /// interleaves graph mutations (edge/vertex churn applied to a DynamicGraph
 /// overlay, --churn of all events) with inference queries (GraphSAGE-style
@@ -193,14 +280,11 @@ int run_dynamic(const CliArgs& args, const core::AuroraConfig& config,
       wp.sampler.fanouts.push_back(
           static_cast<std::uint32_t>(std::stoul(cell)));
     } catch (const std::exception&) {
-      std::fprintf(stderr, "bad --fanout entry '%s' (want e.g. 10,5)\n",
-                   cell.c_str());
-      return 1;
+      throw Error("bad --fanout entry '" + cell + "' (want e.g. 10,5)");
     }
   }
   if (wp.sampler.fanouts.empty()) {
-    std::fprintf(stderr, "--fanout needs at least one layer\n");
-    return 1;
+    throw Error("--fanout needs at least one layer");
   }
 
   const core::GnnJob job =
@@ -303,11 +387,8 @@ int run_open_loop(const CliArgs& args, const core::AuroraConfig& config,
   const std::string arrival_name = args.get_string("arrival", "poisson");
   const auto kind = serving::arrival_kind_by_name(arrival_name);
   if (!kind.has_value()) {
-    std::fprintf(stderr,
-                 "unknown --arrival=%s (accepted: poisson, bursty, "
-                 "diurnal)\n",
-                 arrival_name.c_str());
-    return 1;
+    throw Error("unknown --arrival=" + arrival_name +
+                " (accepted: poisson, bursty, diurnal)");
   }
 
   serving::ServingParams params;
@@ -357,93 +438,49 @@ int run_open_loop(const CliArgs& args, const core::AuroraConfig& config,
   serving::ServingEngine engine(config, cluster_params, params);
   if (tracer.enabled()) engine.set_tracer(&tracer);
   const serving::ServingReport report = engine.run(graph_ds, mix);
+  char headline[160];
+  std::snprintf(headline, sizeof headline,
+                "%s arrivals at %.0f req/s over %u chip(s), %s dispatch",
+                serving::arrival_kind_name(*kind), rate_rps,
+                cluster_params.num_chips, cluster::dispatch_mode_name(mode));
+  return report_serving(args, config, report, headline, /*open_loop=*/true,
+                        tracer);
+}
 
-  AsciiTable table({"request", "tenant", "chip", "arrival", "start",
-                    "finish", "wait (us)", "service (us)", "SLO"});
-  const auto us = [&](Cycle cycles) {
-    return to_fixed(static_cast<double>(cycles) / config.frequency_mhz, 2);
-  };
-  for (const auto& r : report.served) {
-    const std::string chip_cell =
-        mode == cluster::DispatchMode::kShardParallel ? "all"
-                                                      : std::to_string(r.chip);
-    table.add_row({r.label + (r.batched_follower ? " (batched)" : ""),
-                   std::to_string(r.tenant), chip_cell,
-                   std::to_string(r.arrival), std::to_string(r.start),
-                   std::to_string(r.finish), us(r.queue_wait()),
-                   us(r.service_time()),
-                   params.slo_cycles == 0 ? "-" : (r.met_slo() ? "ok" : "MISS")});
-  }
-  table.print();
-
-  std::printf("\n%s arrivals at %.0f req/s over %u chip(s), %s dispatch\n",
-              serving::arrival_kind_name(*kind), rate_rps,
-              cluster_params.num_chips,
-              cluster::dispatch_mode_name(mode));
-  std::printf("generated %llu, admitted %llu, shed %llu (shed rate %.1f%%)\n",
-              static_cast<unsigned long long>(report.generated),
-              static_cast<unsigned long long>(report.admitted),
-              static_cast<unsigned long long>(report.shed),
-              100.0 * report.shed_rate());
-  if (params.slo_cycles > 0) {
-    std::printf("goodput under %.0f us SLO: %llu/%llu requests (%.0f req/s)\n",
-                slo_us,
-                static_cast<unsigned long long>(report.met_slo_count()),
-                static_cast<unsigned long long>(report.generated),
-                report.goodput_rps());
-  }
-  const auto pct_us = [&](double cycles) {
-    return cycles / config.frequency_mhz;
-  };
-  std::printf("latency    p50 %.2f us, p95 %.2f us, p99 %.2f us\n",
-              pct_us(report.latency_percentile(0.50)),
-              pct_us(report.latency_percentile(0.95)),
-              pct_us(report.latency_percentile(0.99)));
-  std::printf("queue wait p50 %.2f us, p95 %.2f us, p99 %.2f us\n",
-              pct_us(report.queue_wait_percentile(0.50)),
-              pct_us(report.queue_wait_percentile(0.95)),
-              pct_us(report.queue_wait_percentile(0.99)));
-  std::printf("service    p50 %.2f us, p95 %.2f us, p99 %.2f us\n",
-              pct_us(report.service_percentile(0.50)),
-              pct_us(report.service_percentile(0.95)),
-              pct_us(report.service_percentile(0.99)));
-  std::printf("batches %llu (%llu batched follower(s), %llu reconfig "
-              "cycles saved); overlap hid %llu cycles\n",
-              static_cast<unsigned long long>(report.batches),
-              static_cast<unsigned long long>(report.batched_followers),
-              static_cast<unsigned long long>(report.reconfig_savings),
-              static_cast<unsigned long long>(report.overlap_savings));
-  if (faults_on || report.failed_attempts > 0 || report.shed_expired > 0) {
-    std::printf("availability: %llu failed attempt(s), %llu retry(ies), "
-                "%llu failed over, %llu failed permanently\n",
-                static_cast<unsigned long long>(report.failed_attempts),
-                static_cast<unsigned long long>(report.retries),
-                static_cast<unsigned long long>(report.failed_over),
-                static_cast<unsigned long long>(report.failed_permanently));
-    std::printf("              %llu shed expired (proactive), %llu shard "
-                "fallback(s); completed %zu/%llu admitted\n",
-                static_cast<unsigned long long>(report.shed_expired),
-                static_cast<unsigned long long>(report.shard_fallbacks),
-                report.served.size(),
-                static_cast<unsigned long long>(report.admitted));
+/// Closed-loop serving: a fixed round-robin queue replayed back to back —
+/// every request arrives at cycle 0, no batching, nothing shed.
+int run_closed_loop(const CliArgs& args, const core::AuroraConfig& config,
+                    const graph::Dataset& graph_ds,
+                    const std::vector<serving::ModelMixEntry>& mix,
+                    const cluster::ClusterParams& cluster_params,
+                    cluster::DispatchMode mode, sim::Tracer& tracer) {
+  const std::size_t num_requests = args.get_uint("requests", 6, 1);
+  std::vector<serving::ServingRequest> requests;
+  for (std::size_t i = 0; i < num_requests; ++i) {
+    const serving::ModelMixEntry& entry = mix[i % mix.size()];
+    serving::ServingRequest request;
+    request.id = i;
+    request.job = entry.job;
+    request.label = entry.label + " #" + std::to_string(i);
+    requests.push_back(std::move(request));
   }
 
-  const std::string serving_out = args.get_string("serving-out", "");
-  if (!serving_out.empty()) {
-    core::write_json_file(serving_out, serving::serving_report_json(report));
-    std::printf("serving JSON: %s\n", serving_out.c_str());
-  }
-
-  std::vector<core::NamedRun> runs;
-  for (const auto& r : report.served) {
-    runs.push_back({cluster::dispatch_mode_name(mode), r.label, r.metrics});
-  }
-  if (!runs.empty()) {
-    // The serving-level counters ride the last run so --metrics-out and
-    // downstream grids see them next to the per-request metrics.
-    runs.back().metrics.counters.merge(report.counters());
-  }
-  return emit_observability(args, tracer, runs);
+  serving::ServingParams params;
+  params.queue_depth = 0;
+  params.max_batch = 1;
+  params.num_tenants = 1;
+  params.mode = mode;
+  serving::ServingEngine engine(config, cluster_params, params);
+  if (tracer.enabled()) engine.set_tracer(&tracer);
+  const serving::ServingReport report =
+      engine.replay(graph_ds, std::move(requests));
+  char headline[160];
+  std::snprintf(headline, sizeof headline,
+                "closed loop: %zu request(s) over %u chip(s), %s dispatch",
+                num_requests, cluster_params.num_chips,
+                cluster::dispatch_mode_name(mode));
+  return report_serving(args, config, report, headline, /*open_loop=*/false,
+                        tracer);
 }
 
 const std::initializer_list<const char*> kFlags = {
@@ -465,10 +502,11 @@ int run(int argc, char** argv) {
   }
   const double scale = args.get_double("scale", 0.1, 1e-6, 100.0);
   const std::uint32_t hidden = args.get_uint("hidden", 32, 1);
-  const auto num_requests =
-      static_cast<std::size_t>(args.get_uint("requests", 6, 1));
   const std::uint32_t chips = args.get_uint("chips", 1, 1);
   const std::string mode_arg = args.get_string("mode", "data");
+  if (mode_arg != "data" && mode_arg != "shard") {
+    throw Error("unknown --mode=" + mode_arg + " (accepted: data, shard)");
+  }
   const cluster::DispatchMode mode =
       mode_arg == "shard" ? cluster::DispatchMode::kShardParallel
                           : cluster::DispatchMode::kDataParallel;
@@ -509,100 +547,15 @@ int run(int argc, char** argv) {
     return run_dynamic(args, config, graph_ds, hidden, params, mode, tracer);
   }
 
+  std::vector<serving::ModelMixEntry> mix;
+  for (const auto& [model, label] : kMix) {
+    mix.push_back({core::GnnJob::two_layer(model, graph_ds.spec, hidden),
+                   std::string(label), 1.0, 0});
+  }
   if (args.has("arrival")) {
-    std::vector<serving::ModelMixEntry> mix;
-    for (const auto& [model, label] : kMix) {
-      mix.push_back({core::GnnJob::two_layer(model, graph_ds.spec, hidden),
-                     std::string(label), 1.0, 0});
-    }
     return run_open_loop(args, config, graph_ds, mix, params, mode, tracer);
   }
-
-  // Closed loop: a fixed round-robin queue replayed back to back.
-  std::vector<core::ScheduledRequest> queue;
-  for (std::size_t i = 0; i < num_requests; ++i) {
-    const auto& [model, label] = kMix[i % kMix.size()];
-    queue.push_back({core::GnnJob::two_layer(model, graph_ds.spec, hidden),
-                     std::string(label) + " #" + std::to_string(i)});
-  }
-
-  std::vector<Cycle> latencies;
-  if (chips <= 1) {
-    core::AuroraAccelerator accel(config);
-    if (tracer.enabled()) accel.set_tracer(&tracer);
-    core::Scheduler scheduler(accel);
-    const core::ScheduleResult result = scheduler.run(graph_ds, queue);
-
-    AsciiTable table({"request", "start", "finish", "latency (us)",
-                      "a:b split", "energy (uJ)"});
-    for (const auto& o : result.outcomes) {
-      latencies.push_back(o.latency());
-      table.add_row({o.label, std::to_string(o.start_cycle),
-                     std::to_string(o.finish_cycle),
-                     to_fixed(1e6 * static_cast<double>(o.latency()) /
-                                  (config.frequency_mhz * 1e6),
-                              2),
-                     std::to_string(o.metrics.partition_a) + ":" +
-                         std::to_string(o.metrics.partition_b),
-                     to_fixed(o.metrics.energy.total_pj() * 1e-6, 1)});
-    }
-    table.print();
-    std::printf("\nmakespan: %llu cycles (%.2f us); overlap saved %llu "
-                "cycles; avg latency %.0f cycles\n",
-                static_cast<unsigned long long>(result.makespan),
-                1e6 * static_cast<double>(result.makespan) /
-                    (config.frequency_mhz * 1e6),
-                static_cast<unsigned long long>(result.overlap_savings),
-                result.avg_latency());
-    print_latency_percentiles(latencies, config.frequency_mhz);
-    std::printf("Each request reconfigured the same silicon: compare the "
-                "a:b splits.\n");
-    std::vector<core::NamedRun> runs;
-    for (const auto& o : result.outcomes) {
-      runs.push_back({"aurora", o.label, o.metrics});
-    }
-    return emit_observability(args, tracer, runs);
-  }
-
-  cluster::ClusterScheduler scheduler(config, params);
-  if (tracer.enabled()) scheduler.set_tracer(&tracer);
-  const cluster::ClusterScheduleResult result =
-      scheduler.run(graph_ds, queue, mode);
-
-  AsciiTable table({"request", "chip", "start", "finish", "latency (us)",
-                    "halo (KiB)"});
-  for (const auto& o : result.outcomes) {
-    latencies.push_back(o.latency());
-    const std::string chip_cell =
-        result.mode == cluster::DispatchMode::kShardParallel
-            ? "all"
-            : std::to_string(o.chip);
-    table.add_row(
-        {o.label, chip_cell, std::to_string(o.start_cycle),
-         std::to_string(o.finish_cycle),
-         to_fixed(1e6 * static_cast<double>(o.latency()) /
-                      (config.frequency_mhz * 1e6),
-                  2),
-         to_fixed(static_cast<double>(
-                      o.metrics.counters.get("cluster.halo_bytes_sent")) /
-                      1024.0,
-                  1)});
-  }
-  table.print();
-  std::printf("\n%s over %u chips — makespan: %llu cycles (%.2f us); "
-              "overlap saved %llu cycles; avg latency %.0f cycles\n",
-              dispatch_mode_name(result.mode), chips,
-              static_cast<unsigned long long>(result.makespan),
-              1e6 * static_cast<double>(result.makespan) /
-                  (config.frequency_mhz * 1e6),
-              static_cast<unsigned long long>(result.overlap_savings),
-              result.avg_latency());
-  print_latency_percentiles(latencies, config.frequency_mhz);
-  std::vector<core::NamedRun> runs;
-  for (const auto& o : result.outcomes) {
-    runs.push_back({dispatch_mode_name(result.mode), o.label, o.metrics});
-  }
-  return emit_observability(args, tracer, runs);
+  return run_closed_loop(args, config, graph_ds, mix, params, mode, tracer);
 }
 
 }  // namespace

@@ -45,7 +45,8 @@ echo "observability smoke: ok"
 
 echo "== critical-path profiler smoke =="
 # Profiler test suite by ctest label, then a single-chip simulate run and a
-# 4-chip shard-parallel serving run writing critpath JSON. The report must
+# 4-chip shard-parallel closed-loop serving run writing critpath and serving
+# JSON. The critpath report must
 # carry the v1 schema and satisfy the attribution invariant: the five
 # category cycle counts sum exactly to the end-to-end total.
 ctest --test-dir build -L profile --output-on-failure -j
@@ -53,8 +54,19 @@ ctest --test-dir build -L profile --output-on-failure -j
   --critpath-out="$obs_dir/critpath.json" --what-if="dram_latency=0.5x"
 ./build/examples/serving --scale=0.02 --requests=2 --hidden=16 \
   --chips=4 --mode=shard --critpath-out="$obs_dir/critpath_cluster.json" \
-  --trace-out="$obs_dir/trace_cluster.json"
+  --trace-out="$obs_dir/trace_cluster.json" \
+  --serving-out="$obs_dir/serving_closed.json"
 python3 -m json.tool "$obs_dir/trace_cluster.json" > /dev/null
+# The closed loop is a serving-engine replay: its report carries the same
+# schema, and a closed queue admits every request and sheds none.
+python3 - "$obs_dir/serving_closed.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as fh:
+    report = json.load(fh)
+assert report["schema"] == "aurora.serving.v1", report["schema"]
+assert report["shed"] == 0, report
+assert report["admitted"] == report["generated"], report
+EOF
 for f in "$obs_dir/critpath.json" "$obs_dir/critpath_cluster.json"; do
   python3 - "$f" <<'EOF'
 import json, sys
@@ -226,12 +238,12 @@ cmake --build build-tsan -j --target test_cluster test_scheduler test_common \
   test_sim fuzz_sim serving
 ctest --test-dir build-tsan -L cluster --output-on-failure -j
 ./build-tsan/bench/fuzz_sim --cluster --parallel --seeds=5
-# Fault injection with two workers: a shard-parallel serving run with chip
-# faults (retry/failover over the multi-threaded cluster engine) and a
-# short fault differential batch.
+# Fault injection with two workers: an open-loop shard-parallel serving run
+# with chip faults (retry/failover over the multi-threaded cluster engine;
+# --faults only acts on an open loop) and a short fault differential batch.
 ./build-tsan/examples/serving --scale=0.02 --requests=4 --hidden=16 \
   --chips=2 --mode=shard --jobs=2 --faults=3 --mtbf-us=300 \
-  --mttr-us=60
+  --mttr-us=60 --arrival=poisson --rate=150000
 ./build-tsan/bench/fuzz_sim --cluster --parallel --faults --seeds=3
 
 echo "check.sh: all green"

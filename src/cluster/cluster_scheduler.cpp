@@ -18,12 +18,23 @@ const char* dispatch_mode_name(DispatchMode m) {
   throw Error("invalid DispatchMode");
 }
 
-double ClusterScheduleResult::avg_latency() const {
-  if (outcomes.empty()) return 0.0;
-  double total = 0.0;
-  for (const auto& o : outcomes) total += static_cast<double>(o.latency());
-  return total / static_cast<double>(outcomes.size());
+namespace {
+
+/// A serving unit fail-stopped at `down` (kNever: it did not) mid-request:
+/// the attempt's work is lost, the outcome and the timeline collapse to the
+/// failure instant, and no compute tail is left for a successor to hide
+/// its DRAM streaming under.
+void collapse_on_failure(ClusterOutcome& outcome, core::ChipTimeline& timeline,
+                         Cycle down) {
+  if (down == fault::kNever) return;
+  outcome.failed = true;
+  outcome.failed_at = down;
+  outcome.finish_cycle = down;
+  timeline.busy_until = down;
+  timeline.prev_compute_tail = 0;
 }
+
+}  // namespace
 
 ClusterScheduler::ClusterScheduler(const core::AuroraConfig& config,
                                    const ClusterParams& params)
@@ -58,11 +69,17 @@ void ClusterScheduler::ensure_engine() {
   if (tracer_ != nullptr) engine_->set_tracer(tracer_);
 }
 
-const ClusterScheduler::CachedService* ClusterScheduler::cache_lookup(
+const core::Service* ClusterScheduler::cache_lookup(
     const std::string& key) const {
   if (tracer_ != nullptr) return nullptr;
   const auto it = service_cache_.find(key);
   return it == service_cache_.end() ? nullptr : &it->second;
+}
+
+const core::Service& ClusterScheduler::remember(const std::string& key,
+                                                core::Service& measured) {
+  if (tracer_ != nullptr) return measured;
+  return service_cache_[key] = std::move(measured);
 }
 
 Cycle ClusterScheduler::next_free(DispatchMode mode) const {
@@ -166,56 +183,34 @@ ClusterOutcome ClusterScheduler::serve_data_parallel(
 
   const std::string key =
       "data:" + request.dataset_key + ":" + core::job_signature(request.job);
-  core::RunMetrics metrics;
-  if (const CachedService* cached = cache_lookup(key)) {
-    metrics = cached->metrics;
-  } else {
-    metrics = chips_[chip]->run(dataset, request.job);
-    if (tracer_ == nullptr) {
-      service_cache_[key] = {metrics, core::Scheduler::lead_dram_cycles(metrics),
-                             core::Scheduler::tail_compute_cycles(metrics)};
-    }
+  const core::Service* service = cache_lookup(key);
+  core::Service measured;
+  if (service == nullptr) {
+    measured = core::chip_service(chips_[chip]->run(dataset, request.job));
+    service = &remember(key, measured);
   }
-
-  Cycle adjusted_not_before = not_before;
-  if (plan != nullptr) {
-    // Probe the placement on a scratch copy of the timeline: if the chip is
-    // down at the tentative start, push the start to the repair cycle and
-    // place for real. A window's end never falls inside another window, so
-    // one push suffices.
-    core::ChipTimeline probe_timeline = chip_timelines_[chip];
-    const core::RequestOutcome probe = core::Scheduler::place(
-        probe_timeline, "", metrics, not_before, share_configuration);
-    const Cycle up = plan->chip_up_after(chip, probe.start_cycle);
-    AURORA_CHECK(up != fault::kNever);
-    adjusted_not_before = std::max(not_before, up);
-  }
-
-  const core::RequestOutcome placed = core::Scheduler::place(
-      chip_timelines_[chip], std::move(request.label), std::move(metrics),
-      adjusted_not_before, share_configuration);
 
   ClusterOutcome outcome;
-  outcome.label = placed.label;
-  outcome.metrics = placed.metrics;
   outcome.chip = chip;
-  outcome.start_cycle = placed.start_cycle;
-  outcome.finish_cycle = placed.finish_cycle;
-  outcome.overlap_hidden = placed.overlap_hidden;
-  outcome.reconfig_saved = placed.reconfig_saved;
+  core::ChipTimeline& timeline = chip_timelines_[chip];
+  const core::ChipTimeline before = timeline;
+  core::RequestOutcome& placed = outcome;
+  placed = core::place(timeline, std::move(request.label), *service,
+                       not_before, share_configuration);
   if (plan != nullptr) {
-    const Cycle down = plan->chip_down_in(chip, outcome.start_cycle,
-                                          outcome.finish_cycle);
-    if (down != fault::kNever) {
-      // The chip fail-stopped mid-request: the attempt's work is lost, the
-      // timeline collapses to the failure instant, and no compute tail is
-      // left for a successor to hide its DRAM streaming under.
-      outcome.failed = true;
-      outcome.failed_at = down;
-      outcome.finish_cycle = down;
-      chip_timelines_[chip].busy_until = down;
-      chip_timelines_[chip].prev_compute_tail = 0;
+    // If the chip is down at the tentative start, push the start to the
+    // repair cycle and place again. A window's end never falls inside
+    // another window, so one push suffices.
+    const Cycle up = plan->chip_up_after(chip, outcome.start_cycle);
+    AURORA_CHECK(up != fault::kNever);
+    if (up != outcome.start_cycle) {
+      timeline = before;
+      placed = core::place(timeline, std::move(outcome.label), *service,
+                           std::max(not_before, up), share_configuration);
     }
+    collapse_on_failure(
+        outcome, timeline,
+        plan->chip_down_in(chip, outcome.start_cycle, outcome.finish_cycle));
   }
   return outcome;
 }
@@ -228,112 +223,65 @@ ClusterOutcome ClusterScheduler::serve_shard_parallel(
 
   const std::string key =
       "shard:" + request.dataset_key + ":" + core::job_signature(request.job);
-  CachedService service;
-  if (const CachedService* cached = cache_lookup(key)) {
-    service = *cached;
-  } else {
+  const core::Service* service = cache_lookup(key);
+  core::Service measured;
+  if (service == nullptr) {
     const ClusterRunMetrics cluster = engine_->run(dataset, request.job);
-    for (const ChipRun& chip : cluster.chips) service.metrics += chip.metrics;
-    service.metrics.total_cycles = cluster.total_cycles;
-    service.metrics.counters.merge(cluster.counters);
+    for (const ChipRun& chip : cluster.chips) measured.metrics += chip.metrics;
+    measured.metrics.total_cycles = cluster.total_cycles;
+    measured.metrics.counters.merge(cluster.counters);
     // Every chip must be free before the next request's barriers can line
-    // up, so the request-level overlap is the weakest chip-level one.
-    service.lead = cluster.chips.empty() ? 0 : sim::kNoEvent;
-    service.tail = cluster.chips.empty() ? 0 : sim::kNoEvent;
-    service.min_chip_reconfig = cluster.chips.empty() ? 0 : sim::kNoEvent;
+    // up, so the request-level overlap is the weakest chip-level one. Each
+    // chip skips its own reconfiguration when the configuration is shared;
+    // the cluster makespan shrinks conservatively by the smallest per-chip
+    // skip (the critical chip is unknown without re-simulating).
+    measured.lead = cluster.chips.empty() ? 0 : sim::kNoEvent;
+    measured.tail = cluster.chips.empty() ? 0 : sim::kNoEvent;
+    measured.shareable_reconfig = cluster.chips.empty() ? 0 : sim::kNoEvent;
     for (const ChipRun& chip : cluster.chips) {
-      service.lead = std::min(service.lead,
-                              core::Scheduler::lead_dram_cycles(chip.metrics));
-      service.tail = std::min(
-          service.tail, core::Scheduler::tail_compute_cycles(chip.metrics));
-      service.min_chip_reconfig =
-          std::min(service.min_chip_reconfig, chip.metrics.reconfig_cycles);
+      measured.lead =
+          std::min(measured.lead, core::lead_dram_cycles(chip.metrics));
+      measured.tail =
+          std::min(measured.tail, core::tail_compute_cycles(chip.metrics));
+      measured.shareable_reconfig = std::min(measured.shareable_reconfig,
+                                             chip.metrics.reconfig_cycles);
     }
-    if (tracer_ == nullptr) service_cache_[key] = service;
+    service = &remember(key, measured);
   }
 
-  const Cycle overlap =
-      std::min(shard_timeline_.prev_compute_tail, service.lead);
-  const Cycle earliest = shard_timeline_.busy_until >= overlap
-                             ? shard_timeline_.busy_until - overlap
-                             : 0;
-  const Cycle start = std::max(not_before, earliest);
+  ClusterOutcome outcome;
+  core::ChipTimeline timeline = shard_timeline_;
+  core::RequestOutcome& placed = outcome;
+  placed = core::place(timeline, {}, *service, not_before,
+                       share_configuration);
   if (plan != nullptr) {
     for (std::uint32_t c = 0; c < params_.num_chips; ++c) {
-      if (plan->chip_up_after(c, start) != start) {
+      if (plan->chip_up_after(c, outcome.start_cycle) != outcome.start_cycle) {
         // A gang chip is down (possibly forever) at the cycle the gang
         // would start, and a shard-parallel request needs every chip:
         // fail over to a data-parallel placement on a surviving chip. The
         // configuration share does not carry — the chip pool never applied
         // the gang's configuration.
-        ClusterOutcome outcome = serve_data_parallel(
+        ClusterOutcome fallback = serve_data_parallel(
             dataset, request, not_before, /*share_configuration=*/false,
             std::nullopt);
-        outcome.shard_fallback = true;
-        return outcome;
+        fallback.shard_fallback = true;
+        return fallback;
       }
     }
   }
-
-  ClusterOutcome outcome;
   outcome.label = std::move(request.label);
-  outcome.metrics = std::move(service.metrics);
-  if (share_configuration) {
-    // Each chip skips its own reconfiguration; the cluster makespan shrinks
-    // conservatively by the smallest per-chip skip (the critical chip is
-    // unknown without re-simulating).
-    const Cycle saved =
-        std::min(service.min_chip_reconfig, outcome.metrics.total_cycles);
-    outcome.reconfig_saved = saved;
-    outcome.metrics.total_cycles -= saved;
-    outcome.metrics.reconfig_cycles -= saved;
-  }
-
-  outcome.overlap_hidden = overlap;
-  outcome.start_cycle = start;
-  outcome.finish_cycle = outcome.start_cycle + outcome.metrics.total_cycles;
-  shard_timeline_.busy_until = outcome.finish_cycle;
-  shard_timeline_.prev_compute_tail = service.tail;
+  shard_timeline_ = timeline;
   if (plan != nullptr) {
+    // Any gang member failing kills the whole shard-parallel attempt.
     Cycle down = fault::kNever;
     for (std::uint32_t c = 0; c < params_.num_chips; ++c) {
       down = std::min(down, plan->chip_down_in(c, outcome.start_cycle,
                                                outcome.finish_cycle));
     }
-    if (down != fault::kNever) {
-      // Any gang member failing kills the whole shard-parallel attempt.
-      outcome.failed = true;
-      outcome.failed_at = down;
-      outcome.finish_cycle = down;
-      shard_timeline_.busy_until = down;
-      shard_timeline_.prev_compute_tail = 0;
-    }
+    collapse_on_failure(outcome, shard_timeline_, down);
   }
   return outcome;
-}
-
-ClusterScheduleResult ClusterScheduler::run(
-    const graph::Dataset& dataset, std::vector<core::ScheduledRequest> queue,
-    DispatchMode mode) {
-  AURORA_CHECK(!queue.empty());
-  reset();
-  ClusterScheduleResult result;
-  result.mode = mode;
-  for (auto& req : queue) {
-    ClusterOutcome outcome = serve(dataset, std::move(req), mode);
-    result.overlap_savings += outcome.overlap_hidden;
-    result.outcomes.push_back(std::move(outcome));
-  }
-  if (mode == DispatchMode::kDataParallel) {
-    result.chip_timeline.reserve(chip_timelines_.size());
-    for (const core::ChipTimeline& t : chip_timelines_) {
-      result.chip_timeline.push_back(t.busy_until);
-      result.makespan = std::max(result.makespan, t.busy_until);
-    }
-  } else {
-    result.makespan = shard_timeline_.busy_until;
-  }
-  return result;
 }
 
 }  // namespace aurora::cluster

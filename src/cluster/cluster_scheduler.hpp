@@ -1,6 +1,6 @@
-// Cluster-level serving: dispatch a queue of multi-layer GNN requests over
-// N Aurora chips. Extends the single-chip scheduling layer (core::Scheduler
-// supplies the DRAM/compute overlap model) with two dispatch policies:
+// Cluster-level serving: place GNN requests over N Aurora chips, one at a
+// time, against persistent chip timelines. Two dispatch policies share
+// core::place's DRAM/compute overlap model:
 //
 //   * data-parallel — the dataset is replicated on every chip; each request
 //     runs whole on the least-loaded chip. Maximises throughput: requests
@@ -10,12 +10,10 @@
 //     sharded graph (ClusterEngine). Minimises per-request latency at the
 //     cost of halo traffic and barrier waits.
 //
-// Like core::Scheduler, the closed-loop run() is a loop over the
-// incremental serve() API, which places one request at a time against
-// persistent chip timelines — the serving engine's entry point for
-// open-loop dispatch (requests arrive while chips are busy, batched
-// followers skip reconfiguration, and a request can be pinned to its batch
-// head's chip).
+// serve() is the serving engine's dispatch step: requests may arrive while
+// chips are busy, batched followers skip reconfiguration, and a request can
+// be pinned to its batch head's chip. serving::ServingEngine is the request
+// loop around it, for open-loop traffic and closed-loop queues alike.
 #pragma once
 
 #include <map>
@@ -37,20 +35,12 @@ enum class DispatchMode : std::uint8_t {
 
 [[nodiscard]] const char* dispatch_mode_name(DispatchMode m);
 
-struct ClusterOutcome {
-  std::string label;
-  /// Data-parallel: the serving chip's metrics. Shard-parallel: all chips'
-  /// metrics accumulated, with total_cycles overridden to the cluster
-  /// makespan of the request.
-  core::RunMetrics metrics;
+/// A placed request (core::RequestOutcome). Data-parallel: the serving
+/// chip's metrics. Shard-parallel: all chips' metrics accumulated, with
+/// total_cycles overridden to the cluster makespan of the request.
+struct ClusterOutcome : core::RequestOutcome {
   /// Serving chip (data-parallel); 0 for shard-parallel (all chips serve).
   std::uint32_t chip = 0;
-  Cycle start_cycle = 0;
-  Cycle finish_cycle = 0;
-  /// DRAM-under-compute overlap window claimed against the predecessor.
-  Cycle overlap_hidden = 0;
-  /// Reconfiguration cycles skipped as a batched follower.
-  Cycle reconfig_saved = 0;
   /// The serving chip (or, shard-parallel, any gang member) fail-stopped
   /// mid-request: the attempt's work is lost, finish_cycle collapses to the
   /// failure instant and the caller must re-dispatch (the serving engine's
@@ -63,33 +53,12 @@ struct ClusterOutcome {
   /// Every chip is permanently down — the request can never be served.
   /// Implies `failed`; no simulation was attempted.
   bool no_capacity = false;
-
-  [[nodiscard]] Cycle latency() const { return finish_cycle - start_cycle; }
-};
-
-struct ClusterScheduleResult {
-  DispatchMode mode = DispatchMode::kDataParallel;
-  /// Outcomes in submission order.
-  std::vector<ClusterOutcome> outcomes;
-  Cycle makespan = 0;
-  Cycle overlap_savings = 0;
-  /// Final per-chip timeline position (busy-until), data-parallel only.
-  std::vector<Cycle> chip_timeline;
-
-  [[nodiscard]] double avg_latency() const;
 };
 
 class ClusterScheduler {
  public:
   ClusterScheduler(const core::AuroraConfig& config,
                    const ClusterParams& params);
-
-  /// Run the queue on `dataset` under `mode`. Outcomes keep submission
-  /// order even when data-parallel dispatch interleaves chips. Resets any
-  /// serving state first, so every run() starts from fresh chips.
-  [[nodiscard]] ClusterScheduleResult run(
-      const graph::Dataset& dataset,
-      std::vector<core::ScheduledRequest> queue, DispatchMode mode);
 
   /// Place one request. Data-parallel: on the least-loaded chip (or
   /// `pin_chip`, used to keep a batch on its head's chip); shard-parallel:
@@ -135,19 +104,6 @@ class ClusterScheduler {
   }
 
  private:
-  struct CachedService {
-    core::RunMetrics metrics;
-    /// Shard-parallel overlap bounds (min over chips); recomputed from
-    /// `metrics` for data-parallel outcomes.
-    Cycle lead = 0;
-    Cycle tail = 0;
-    /// Shard-parallel batching discount: the smallest per-chip exposed
-    /// reconfiguration span. Every chip skips at least this much when the
-    /// configuration is shared, so the cluster makespan conservatively
-    /// shrinks by it.
-    Cycle min_chip_reconfig = 0;
-  };
-
   void ensure_chips();
   void ensure_engine();
   [[nodiscard]] ClusterOutcome serve_data_parallel(
@@ -160,8 +116,12 @@ class ClusterScheduler {
   /// Deterministic engines make identical jobs yield identical metrics, so
   /// serving caches service measurements by job signature. Disabled while a
   /// tracer is attached. Returns nullptr on miss.
-  [[nodiscard]] const CachedService* cache_lookup(const std::string& key)
+  [[nodiscard]] const core::Service* cache_lookup(const std::string& key)
       const;
+  /// Keep a fresh measurement in the cache (unless tracing) and return the
+  /// stored service; `measured` backs the result while tracing.
+  [[nodiscard]] const core::Service& remember(const std::string& key,
+                                              core::Service& measured);
   /// The attached fault plan when it has any events; nullptr otherwise.
   [[nodiscard]] const fault::FaultPlan* active_fault_plan() const {
     return fault_plan_ != nullptr && !fault_plan_->empty() ? fault_plan_.get()
@@ -178,7 +138,7 @@ class ClusterScheduler {
   std::vector<core::ChipTimeline> chip_timelines_;
   std::unique_ptr<ClusterEngine> engine_;
   core::ChipTimeline shard_timeline_;
-  std::map<std::string, CachedService> service_cache_;
+  std::map<std::string, core::Service> service_cache_;
 };
 
 }  // namespace aurora::cluster

@@ -1,19 +1,21 @@
 // Open-loop serving engine: arrival process -> admission queue -> dynamic
 // batching -> cluster dispatch.
 //
-// Drives the existing dispatch layers (core::Scheduler's overlap model via
-// cluster::ClusterScheduler, both data-parallel and shard-parallel) with
-// requests that arrive on their own clock, and reports what a deployment
-// actually tunes against: goodput under SLO, shed rate, and the queue-wait
-// vs service-time split behind each latency percentile. Fully deterministic
-// for a fixed seed.
+// The repo's one request loop. Drives cluster::ClusterScheduler (both
+// data-parallel and shard-parallel, placing through core::place's overlap
+// model) with requests that arrive on their own clock, and reports what a
+// deployment actually tunes against: goodput under SLO, shed rate, and the
+// queue-wait vs service-time split behind each latency percentile. Fully
+// deterministic for a fixed seed.
 //
 // The event loop is intentionally simple: advance to the earliest cycle a
 // serving unit frees up, admit everything that has arrived by then, pop a
 // batch (EDF within priority classes, per-tenant fairness; followers share
 // the head's partition/NoC configuration and skip reconfiguration), and
-// dispatch it. With batching off and all arrivals at cycle 0 this collapses
-// to core::Scheduler::run bit-for-bit — the equivalence the tests pin.
+// dispatch it. A closed-loop queue is a replay() with every arrival at
+// cycle 0, max_batch = 1 and queue_depth = 0: requests then run back to
+// back in submission order, each overlapping its DRAM prefetch with its
+// predecessor's compute tail.
 #pragma once
 
 #include <memory>

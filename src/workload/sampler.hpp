@@ -5,10 +5,10 @@
 // NeighborSampler expands a seed set hop by hop under per-layer fanout caps
 // (with or without replacement), dedups the frontier, and materialises the
 // induced subgraph as a self-contained CSR over compact local ids — ready to
-// wrap into a graph::Dataset and hand to core::Scheduler or ClusterScheduler
-// as an ordinary job. All randomness flows through aurora::Rng seeded from
-// (params.seed, salt), so a fixed seed reproduces a batch bit-for-bit across
-// worker counts and lockstep/fast-forward simulation modes.
+// wrap into a graph::Dataset and hand to the serving engine as an ordinary
+// job. All randomness flows through aurora::Rng seeded from (params.seed,
+// salt), so a fixed seed reproduces a batch bit-for-bit across worker
+// counts and lockstep/fast-forward simulation modes.
 #pragma once
 
 #include <cstdint>

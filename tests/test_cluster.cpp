@@ -22,6 +22,7 @@
 #include "core/aurora.hpp"
 #include "core/report.hpp"
 #include "fault/fault.hpp"
+#include "fingerprint.hpp"
 #include "graph/degree.hpp"
 #include "graph/generators.hpp"
 #include "serving/serving_engine.hpp"
@@ -633,37 +634,6 @@ TEST(ParallelEngine, RegistryMatchesSerial) {
 
 // ----------------------------------------------------------- golden
 
-// FNV-1a over 64-bit words and strings: a compiler-independent fingerprint
-// of everything integer-valued a cluster run reports.
-class Fingerprint {
- public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) mix(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void add(const std::string& s) {
-    for (const char ch : s) mix(static_cast<std::uint8_t>(ch));
-    add(s.size());
-  }
-  void add(const Histogram& h) {
-    add(h.total());
-    for (std::size_t i = 0; i < h.num_buckets(); ++i) add(h.bucket_count(i));
-  }
-  void add(const CounterSet& counters) {
-    for (const auto& [name, value] : counters.all()) {
-      add(name);
-      add(value);
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  void mix(std::uint8_t byte) {
-    h_ ^= byte;
-    h_ *= 1099511628211ULL;
-  }
-  std::uint64_t h_ = 14695981039346656037ULL;
-};
-
 // Integer fields only: doubles (energy, averages, replication factor) are
 // left out so the fingerprint does not depend on floating-point codegen.
 std::uint64_t fingerprint(const cluster::ClusterRunMetrics& r) {
@@ -672,28 +642,7 @@ std::uint64_t fingerprint(const cluster::ClusterRunMetrics& r) {
   f.add(r.cut_edges);
   f.add(r.ghost_vertices);
   for (const cluster::ChipRun& chip : r.chips) {
-    const core::RunMetrics& m = chip.metrics;
-    for (const std::uint64_t v :
-         {m.total_cycles, m.compute_cycles, m.onchip_comm_cycles,
-          m.dram_cycles, m.reconfig_cycles, m.dram_bytes, m.dram_accesses,
-          m.noc_messages, m.bypass_messages, m.events.fp_multiplies,
-          m.events.fp_adds, m.events.sram_small_bytes,
-          m.events.sram_large_bytes, m.events.dram_bytes,
-          m.events.noc_link_bytes, m.events.router_bytes,
-          m.events.bypass_link_bytes, m.events.reconfig_switch_writes,
-          m.events.active_cycles, std::uint64_t{m.partition_a},
-          std::uint64_t{m.partition_b}, std::uint64_t{m.num_subgraphs},
-          m.reconfigurations, m.switch_writes}) {
-      f.add(v);
-    }
-    for (const core::PhaseMetrics& p : m.phases) {
-      f.add(p.active_cycles);
-      f.add(p.dram_bytes);
-      f.add(p.noc_messages);
-    }
-    f.add(m.counters);
-    f.add(m.noc_packet_latency);
-    f.add(m.dram_request_latency);
+    f.add(chip.metrics);
     f.add(chip.finish_cycle);
     f.add(chip.halo_wait_cycles);
     f.add(chip.halo_bytes_sent);
@@ -796,33 +745,47 @@ TEST(ClusterGolden, ShardModeServingReportUnchanged) {
 
 // -------------------------------------------------------------- scheduler
 
+serving::ServingReport replay_closed_loop(
+    const graph::Dataset& ds, const cluster::ClusterParams& params,
+    cluster::DispatchMode mode, const std::vector<core::GnnJob>& jobs) {
+  serving::ServingParams serving_params;
+  serving_params.queue_depth = 0;
+  serving_params.max_batch = 1;
+  serving_params.mode = mode;
+  std::vector<serving::ServingRequest> requests;
+  for (const core::GnnJob& job : jobs) {
+    serving::ServingRequest r;
+    r.id = requests.size();
+    r.job = job;
+    r.label = "req" + std::to_string(r.id);
+    requests.push_back(std::move(r));
+  }
+  serving::ServingEngine engine(small_config(), params, serving_params);
+  return engine.replay(ds, std::move(requests));
+}
+
 TEST(ClusterScheduler, DataParallelSpreadsRequestsAcrossChips) {
   const graph::Dataset ds = make_test_dataset(40, 90, 37);
-  std::vector<core::ScheduledRequest> queue;
-  for (int i = 0; i < 4; ++i) {
-    queue.push_back({core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8),
-                     "req" + std::to_string(i)});
-  }
   cluster::ClusterParams params;
   params.num_chips = 2;
-  cluster::ClusterScheduler scheduler(small_config(), params);
-  const cluster::ClusterScheduleResult result =
-      scheduler.run(ds, queue, cluster::DispatchMode::kDataParallel);
+  const serving::ServingReport result = replay_closed_loop(
+      ds, params, cluster::DispatchMode::kDataParallel,
+      std::vector<core::GnnJob>(
+          4, core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8)));
 
-  ASSERT_EQ(result.outcomes.size(), 4u);
+  ASSERT_EQ(result.served.size(), 4u);
   bool chip0 = false;
   bool chip1 = false;
   Cycle latency_sum = 0;
-  for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
-    EXPECT_EQ(result.outcomes[i].label, "req" + std::to_string(i));
-    chip0 |= result.outcomes[i].chip == 0;
-    chip1 |= result.outcomes[i].chip == 1;
-    latency_sum += result.outcomes[i].latency();
+  for (std::size_t i = 0; i < result.served.size(); ++i) {
+    EXPECT_EQ(result.served[i].label, "req" + std::to_string(i));
+    chip0 |= result.served[i].chip == 0;
+    chip1 |= result.served[i].chip == 1;
+    latency_sum += result.served[i].service_time();
   }
   EXPECT_TRUE(chip0 && chip1) << "both chips should serve requests";
   // Two chips in parallel beat a serial schedule of the same requests.
-  EXPECT_LT(result.makespan, latency_sum);
-  ASSERT_EQ(result.chip_timeline.size(), 2u);
+  EXPECT_LT(result.horizon, latency_sum);
 }
 
 TEST(ClusterScheduler, ShardParallelMatchesClusterEngineLatency) {
@@ -831,20 +794,18 @@ TEST(ClusterScheduler, ShardParallelMatchesClusterEngineLatency) {
       core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8);
   cluster::ClusterParams params;
   params.num_chips = 2;
-  const core::AuroraConfig cfg = small_config();
 
-  cluster::ClusterEngine engine(cfg, params);
+  cluster::ClusterEngine engine(small_config(), params);
   const Cycle engine_total = engine.run(ds, job).total_cycles;
 
-  cluster::ClusterScheduler scheduler(cfg, params);
-  const cluster::ClusterScheduleResult result = scheduler.run(
-      ds, {{job, "only"}}, cluster::DispatchMode::kShardParallel);
-  ASSERT_EQ(result.outcomes.size(), 1u);
-  EXPECT_EQ(result.outcomes[0].latency(), engine_total);
-  EXPECT_EQ(result.outcomes[0].metrics.total_cycles, engine_total);
-  EXPECT_EQ(result.makespan, engine_total);
-  EXPECT_GT(
-      result.outcomes[0].metrics.counters.get("cluster.halo_bytes_sent"), 0u);
+  const serving::ServingReport result = replay_closed_loop(
+      ds, params, cluster::DispatchMode::kShardParallel, {job});
+  ASSERT_EQ(result.served.size(), 1u);
+  EXPECT_EQ(result.served[0].service_time(), engine_total);
+  EXPECT_EQ(result.served[0].metrics.total_cycles, engine_total);
+  EXPECT_EQ(result.horizon, engine_total);
+  EXPECT_GT(result.served[0].metrics.counters.get("cluster.halo_bytes_sent"),
+            0u);
 }
 
 }  // namespace

@@ -863,43 +863,49 @@ TEST(InstructionDispatcher, DrivesFullStream) {
 TEST(Scheduler, SequencesRequestsWithOverlap) {
   AuroraConfig cfg = small_config();
   AuroraAccelerator accel(cfg);
-  Scheduler sched(accel);
   const auto ds = small_dataset(0.05);
 
-  std::vector<ScheduledRequest> queue;
-  queue.push_back({GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 16),
-                   "gcn"});
-  queue.push_back({GnnJob::two_layer(gnn::GnnModel::kGin, ds.spec, 16),
-                   "gin"});
-  queue.push_back({GnnJob::two_layer(gnn::GnnModel::kAgnn, ds.spec, 16),
-                   "agnn"});
-  const ScheduleResult result = sched.run(ds, queue);
-
-  ASSERT_EQ(result.outcomes.size(), 3u);
-  // Requests finish in order and the makespan is the last finish.
-  for (std::size_t i = 1; i < result.outcomes.size(); ++i) {
-    EXPECT_GE(result.outcomes[i].finish_cycle,
-              result.outcomes[i - 1].finish_cycle);
+  // One chip serving a queue back to back: each run is placed on the chip
+  // timeline in turn.
+  ChipTimeline timeline;
+  std::vector<RequestOutcome> outcomes;
+  Cycle overlap_savings = 0;
+  for (const gnn::GnnModel model :
+       {gnn::GnnModel::kGcn, gnn::GnnModel::kGin, gnn::GnnModel::kAgnn}) {
+    const GnnJob job = GnnJob::two_layer(model, ds.spec, 16);
+    outcomes.push_back(place(timeline, gnn::model_name(model),
+                             chip_service(accel.run(ds, job)),
+                             /*not_before=*/0,
+                             /*share_configuration=*/false));
+    overlap_savings += outcomes.back().overlap_hidden;
   }
-  EXPECT_EQ(result.makespan, result.outcomes.back().finish_cycle);
+
+  // Requests finish in order and the timeline ends at the last finish.
+  for (std::size_t i = 1; i < outcomes.size(); ++i) {
+    EXPECT_GE(outcomes[i].finish_cycle, outcomes[i - 1].finish_cycle);
+  }
+  EXPECT_EQ(timeline.busy_until, outcomes.back().finish_cycle);
   // Overlap saves cycles vs back-to-back.
   Cycle back_to_back = 0;
-  for (const auto& o : result.outcomes) back_to_back += o.metrics.total_cycles;
-  EXPECT_LT(result.makespan, back_to_back);
-  EXPECT_GT(result.overlap_savings, 0u);
-  EXPECT_GT(result.avg_latency(), 0.0);
+  for (const auto& o : outcomes) back_to_back += o.metrics.total_cycles;
+  EXPECT_LT(timeline.busy_until, back_to_back);
+  EXPECT_GT(overlap_savings, 0u);
+  EXPECT_EQ(timeline.busy_until + overlap_savings, back_to_back);
 }
 
 TEST(Scheduler, SingleRequestHasNoOverlap) {
   AuroraConfig cfg = small_config();
   AuroraAccelerator accel(cfg);
-  Scheduler sched(accel);
   const auto ds = small_dataset(0.05);
-  std::vector<ScheduledRequest> queue;
-  queue.push_back({GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec), "only"});
-  const auto result = sched.run(ds, queue);
-  EXPECT_EQ(result.overlap_savings, 0u);
-  EXPECT_EQ(result.makespan, result.outcomes[0].metrics.total_cycles);
+  ChipTimeline timeline;
+  const RequestOutcome only = place(
+      timeline, "only",
+      chip_service(accel.run(ds, GnnJob::two_layer(gnn::GnnModel::kGcn,
+                                                   ds.spec))),
+      /*not_before=*/0, /*share_configuration=*/false);
+  EXPECT_EQ(only.overlap_hidden, 0u);
+  EXPECT_EQ(only.start_cycle, 0u);
+  EXPECT_EQ(timeline.busy_until, only.metrics.total_cycles);
 }
 
 TEST(GnnJobPresets, DepthsFollowLiterature) {

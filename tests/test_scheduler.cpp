@@ -1,10 +1,12 @@
-// Tests for the single-chip request scheduler: submission-order execution,
-// the DRAM/compute overlap model (shared with the cluster scheduler through
-// the static helpers), and partition reuse across mixed-model queues.
+// Tests for single-chip request scheduling: a closed-loop serving replay
+// (every arrival at cycle 0, no batching) runs in submission order under
+// the DRAM/compute overlap model of core::place, and partition state is
+// reused across mixed-model queues.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -13,6 +15,7 @@
 #include "core/scheduler.hpp"
 #include "graph/degree.hpp"
 #include "graph/generators.hpp"
+#include "serving/serving_engine.hpp"
 #include "sim/component.hpp"
 
 namespace aurora {
@@ -40,61 +43,75 @@ core::AuroraConfig small_config() {
   return cfg;
 }
 
-std::vector<core::ScheduledRequest> mixed_queue(
+std::vector<serving::ServingRequest> mixed_queue(
     const graph::DatasetSpec& spec) {
-  return {
-      {core::GnnJob::two_layer(gnn::GnnModel::kGcn, spec, 8), "gcn"},
-      {core::GnnJob::two_layer(gnn::GnnModel::kAgnn, spec, 8), "agnn"},
-      {core::GnnJob::two_layer(gnn::GnnModel::kGin, spec, 8), "gin"},
-      {core::GnnJob::two_layer(gnn::GnnModel::kGcn, spec, 8), "gcn2"},
+  const std::pair<gnn::GnnModel, const char*> kQueue[] = {
+      {gnn::GnnModel::kGcn, "gcn"},
+      {gnn::GnnModel::kAgnn, "agnn"},
+      {gnn::GnnModel::kGin, "gin"},
+      {gnn::GnnModel::kGcn, "gcn2"},
   };
+  std::vector<serving::ServingRequest> requests;
+  for (const auto& [model, label] : kQueue) {
+    serving::ServingRequest r;
+    r.id = requests.size();
+    r.job = core::GnnJob::two_layer(model, spec, 8);
+    r.label = label;
+    requests.push_back(std::move(r));
+  }
+  return requests;
+}
+
+/// The queue replayed closed loop on one chip.
+serving::ServingReport run_closed_loop(const graph::Dataset& ds) {
+  serving::ServingParams params;
+  params.queue_depth = 0;
+  params.max_batch = 1;
+  cluster::ClusterParams cluster_params;
+  cluster_params.num_chips = 1;
+  serving::ServingEngine engine(small_config(), cluster_params, params);
+  return engine.replay(ds, mixed_queue(ds.spec));
 }
 
 TEST(Scheduler, PreservesSubmissionOrderAndTimeline) {
   const graph::Dataset ds = make_test_dataset(40, 90, 51);
-  core::AuroraAccelerator accelerator(small_config());
-  core::Scheduler scheduler(accelerator);
-  const core::ScheduleResult result =
-      scheduler.run(ds, mixed_queue(ds.spec));
+  const serving::ServingReport result = run_closed_loop(ds);
 
-  ASSERT_EQ(result.outcomes.size(), 4u);
+  ASSERT_EQ(result.served.size(), 4u);
   const std::vector<std::string> expected = {"gcn", "agnn", "gin", "gcn2"};
   Cycle prev_finish = 0;
-  for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
-    const core::RequestOutcome& o = result.outcomes[i];
+  for (std::size_t i = 0; i < result.served.size(); ++i) {
+    const serving::ServedRequest& o = result.served[i];
     EXPECT_EQ(o.label, expected[i]);
-    EXPECT_LE(o.start_cycle, o.finish_cycle);
+    EXPECT_LE(o.start, o.finish);
     // Requests execute in order: each starts no earlier than the overlap
     // window under its predecessor's tail.
-    EXPECT_GE(o.finish_cycle, prev_finish);
-    EXPECT_EQ(o.latency(), o.metrics.total_cycles);
-    prev_finish = o.finish_cycle;
+    EXPECT_GE(o.finish, prev_finish);
+    EXPECT_EQ(o.service_time(), o.metrics.total_cycles);
+    prev_finish = o.finish;
   }
-  EXPECT_EQ(result.makespan, result.outcomes.back().finish_cycle);
-  EXPECT_GT(result.avg_latency(), 0.0);
+  EXPECT_EQ(result.horizon, result.served.back().finish);
+  EXPECT_GT(result.latency_percentile(0.5), 0.0);
 }
 
 TEST(Scheduler, OverlapSavingsMatchHelperModel) {
   const graph::Dataset ds = make_test_dataset(40, 90, 53);
-  core::AuroraAccelerator accelerator(small_config());
-  core::Scheduler scheduler(accelerator);
-  const core::ScheduleResult result =
-      scheduler.run(ds, mixed_queue(ds.spec));
+  const serving::ServingReport result = run_closed_loop(ds);
 
   // Recompute the overlap chain from the outcomes' own metrics: the
-  // scheduler must agree with the public helper model exactly.
+  // placement must agree with the public helper model exactly.
   Cycle expected_savings = 0;
   Cycle prev_tail = 0;
   Cycle serial = 0;
-  for (const core::RequestOutcome& o : result.outcomes) {
-    expected_savings += core::Scheduler::overlap_cycles(prev_tail, o.metrics);
-    prev_tail = core::Scheduler::tail_compute_cycles(o.metrics);
+  for (const serving::ServedRequest& o : result.served) {
+    expected_savings += core::overlap_cycles(prev_tail, o.metrics);
+    prev_tail = core::tail_compute_cycles(o.metrics);
     serial += o.metrics.total_cycles;
   }
   EXPECT_EQ(result.overlap_savings, expected_savings);
-  EXPECT_EQ(result.makespan + result.overlap_savings, serial);
+  EXPECT_EQ(result.horizon + result.overlap_savings, serial);
   // The first request has nothing to hide under.
-  EXPECT_EQ(result.outcomes.front().start_cycle, 0u);
+  EXPECT_EQ(result.served.front().start, 0u);
   // A mixed queue on a connected graph always finds some overlap.
   EXPECT_GT(result.overlap_savings, 0u);
 }
@@ -105,54 +122,49 @@ TEST(Scheduler, HelperSpansDeriveFromSubgraphCounts) {
   const core::RunMetrics m = accelerator.run(
       ds, core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8));
   const Cycle subgraphs = std::max<Cycle>(1, m.num_subgraphs);
-  EXPECT_EQ(core::Scheduler::lead_dram_cycles(m),
-            m.dram_cycles / subgraphs);
-  EXPECT_EQ(core::Scheduler::tail_compute_cycles(m),
-            m.compute_cycles / subgraphs);
-  EXPECT_EQ(core::Scheduler::overlap_cycles(0, m), 0u);
-  EXPECT_EQ(core::Scheduler::overlap_cycles(sim::kNoEvent, m),
-            core::Scheduler::lead_dram_cycles(m));
+  EXPECT_EQ(core::lead_dram_cycles(m), m.dram_cycles / subgraphs);
+  EXPECT_EQ(core::tail_compute_cycles(m), m.compute_cycles / subgraphs);
+  EXPECT_EQ(core::overlap_cycles(0, m), 0u);
+  EXPECT_EQ(core::overlap_cycles(sim::kNoEvent, m), core::lead_dram_cycles(m));
+  // A single chip's service carries exactly these spans, and a batched
+  // follower skips all of its reconfiguration.
+  const core::Service service = core::chip_service(m);
+  EXPECT_EQ(service.lead, core::lead_dram_cycles(m));
+  EXPECT_EQ(service.tail, core::tail_compute_cycles(m));
+  EXPECT_EQ(service.shareable_reconfig, m.reconfig_cycles);
 }
 
 TEST(Scheduler, PartitionStateReusedAcrossMixedModelQueues) {
   const graph::Dataset ds = make_test_dataset(40, 90, 59);
-  // Two schedulers over the same queue on fresh accelerators must agree
-  // bit for bit: partition/mapping state reuse inside one accelerator is
-  // deterministic and does not leak between requests.
-  const auto run_queue = [&] {
-    core::AuroraAccelerator accelerator(small_config());
-    core::Scheduler scheduler(accelerator);
-    return scheduler.run(ds, mixed_queue(ds.spec));
-  };
-  const core::ScheduleResult a = run_queue();
-  const core::ScheduleResult b = run_queue();
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
+  // Two replays of the same queue on fresh chips must agree bit for bit:
+  // partition/mapping state reuse is deterministic and does not leak
+  // between requests.
+  const serving::ServingReport a = run_closed_loop(ds);
+  const serving::ServingReport b = run_closed_loop(ds);
+  ASSERT_EQ(a.served.size(), b.served.size());
+  for (std::size_t i = 0; i < a.served.size(); ++i) {
     const auto diffs =
-        core::diff_run_metrics(a.outcomes[i].metrics, b.outcomes[i].metrics);
+        core::diff_run_metrics(a.served[i].metrics, b.served[i].metrics);
     EXPECT_TRUE(diffs.empty())
-        << a.outcomes[i].label << ": "
+        << a.served[i].label << ": "
         << (diffs.empty() ? std::string() : diffs.front());
     // Every request settled on a partition.
-    EXPECT_GT(a.outcomes[i].metrics.num_subgraphs, 0u);
+    EXPECT_GT(a.served[i].metrics.num_subgraphs, 0u);
   }
-  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.horizon, b.horizon);
   EXPECT_EQ(a.overlap_savings, b.overlap_savings);
 
-  // The same jobs run back to back on one accelerator (the serving path)
-  // also match a per-request fresh accelerator: reuse is purely a
+  // The same jobs run back to back on one accelerator (what a serving chip
+  // does) also match a per-request fresh accelerator: reuse is purely a
   // performance property of the software stack, not a timing one.
   core::AuroraAccelerator reused(small_config());
-  core::Scheduler reused_scheduler(reused);
-  const core::ScheduleResult c = reused_scheduler.run(ds, mixed_queue(ds.spec));
-  for (std::size_t i = 0; i < c.outcomes.size(); ++i) {
-    core::AuroraAccelerator fresh(small_config());
+  for (const serving::ServingRequest& request : mixed_queue(ds.spec)) {
+    const core::RunMetrics got = reused.run(ds, request.job);
     const core::RunMetrics expected =
-        fresh.run(ds, mixed_queue(ds.spec)[i].job);
-    const auto diffs =
-        core::diff_run_metrics(c.outcomes[i].metrics, expected);
+        core::AuroraAccelerator(small_config()).run(ds, request.job);
+    const auto diffs = core::diff_run_metrics(got, expected);
     EXPECT_TRUE(diffs.empty())
-        << c.outcomes[i].label << ": "
+        << request.label << ": "
         << (diffs.empty() ? std::string() : diffs.front());
   }
 }

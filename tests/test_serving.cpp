@@ -1,15 +1,23 @@
 // Tests for the open-loop serving subsystem: seed-deterministic arrival
 // processes, admission/shed accounting, EDF-with-fairness queue ordering,
-// dynamic-batching bit-identity, closed-loop equivalence with the
-// single-chip scheduler, and determinism across cluster worker counts.
+// dynamic-batching bit-identity (single-chip and shard-parallel), closed-loop
+// equivalence with an independent placement fold, golden fingerprints of
+// closed-loop and faulted replays, and determinism across cluster worker
+// counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <utility>
 #include <string>
 #include <vector>
 
+#include "cluster/cluster_engine.hpp"
 #include "common/rng.hpp"
 #include "core/report.hpp"
+#include "core/scheduler.hpp"
+#include "fault/fault.hpp"
+#include "fingerprint.hpp"
 #include "graph/degree.hpp"
 #include "graph/generators.hpp"
 #include "serving/arrival.hpp"
@@ -204,42 +212,53 @@ std::vector<serving::ServingRequest> same_model_requests(
   return requests;
 }
 
+std::vector<serving::ServingRequest> mixed_requests(
+    const graph::DatasetSpec& spec) {
+  const std::pair<gnn::GnnModel, const char*> kQueue[] = {
+      {gnn::GnnModel::kGcn, "gcn"},
+      {gnn::GnnModel::kAgnn, "agnn"},
+      {gnn::GnnModel::kGin, "gin"},
+      {gnn::GnnModel::kGcn, "gcn2"},
+  };
+  std::vector<serving::ServingRequest> requests;
+  for (const auto& [model, label] : kQueue) {
+    serving::ServingRequest r;
+    r.id = requests.size();
+    r.job = core::GnnJob::two_layer(model, spec, 8);
+    r.label = label;
+    requests.push_back(std::move(r));
+  }
+  return requests;
+}
+
 TEST(ServingEngine, MatchesSchedulerRunOnClosedLoopTrace) {
   const graph::Dataset ds = make_test_dataset(40, 90, 51);
   const core::AuroraConfig config = small_config();
+  const std::vector<serving::ServingRequest> requests =
+      mixed_requests(ds.spec);
 
-  // The reference: the single-chip scheduler replaying a mixed queue.
-  std::vector<core::ScheduledRequest> queue = {
-      {core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8), "gcn"},
-      {core::GnnJob::two_layer(gnn::GnnModel::kAgnn, ds.spec, 8), "agnn"},
-      {core::GnnJob::two_layer(gnn::GnnModel::kGin, ds.spec, 8), "gin"},
-      {core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8), "gcn2"},
-  };
-  core::AuroraAccelerator accelerator(config);
-  core::Scheduler scheduler(accelerator);
-  const core::ScheduleResult reference = scheduler.run(ds, queue);
-
-  // The serving engine on the same trace: all arrivals at cycle 0, no
+  // The serving engine on a closed-loop trace: all arrivals at cycle 0, no
   // batching, one chip.
-  std::vector<serving::ServingRequest> requests;
-  for (std::size_t i = 0; i < queue.size(); ++i) {
-    serving::ServingRequest r;
-    r.id = i;
-    r.job = queue[i].job;
-    r.label = queue[i].label;
-    requests.push_back(std::move(r));
-  }
   cluster::ClusterParams cluster_params;
   cluster_params.num_chips = 1;
   serving::ServingEngine engine(config, cluster_params,
                                 closed_loop_params());
   const serving::ServingReport report = engine.replay(ds, requests);
 
-  ASSERT_EQ(report.served.size(), reference.outcomes.size());
+  // The reference, derived independently: every job on a fresh
+  // accelerator, folded back to back through the placement kernel.
+  ASSERT_EQ(report.served.size(), requests.size());
   EXPECT_EQ(report.shed, 0u);
-  for (std::size_t i = 0; i < report.served.size(); ++i) {
+  core::ChipTimeline timeline;
+  Cycle overlap_savings = 0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const core::RequestOutcome ref = core::place(
+        timeline, requests[i].label,
+        core::chip_service(
+            core::AuroraAccelerator(config).run(ds, requests[i].job)),
+        /*not_before=*/0, /*share_configuration=*/false);
+    overlap_savings += ref.overlap_hidden;
     const auto& served = report.served[i];
-    const auto& ref = reference.outcomes[i];
     EXPECT_EQ(served.label, ref.label);
     EXPECT_EQ(served.start, ref.start_cycle);
     EXPECT_EQ(served.finish, ref.finish_cycle);
@@ -248,8 +267,9 @@ TEST(ServingEngine, MatchesSchedulerRunOnClosedLoopTrace) {
     EXPECT_TRUE(diff.empty())
         << served.label << ": " << (diff.empty() ? "" : diff.front());
   }
-  EXPECT_EQ(report.horizon, reference.makespan);
-  EXPECT_EQ(report.overlap_savings, reference.overlap_savings);
+  EXPECT_EQ(report.horizon, timeline.busy_until);
+  EXPECT_EQ(report.overlap_savings, overlap_savings);
+  EXPECT_GT(report.overlap_savings, 0u);
 }
 
 TEST(ServingEngine, BatchingSavesExactlyTheSkippedReconfigurations) {
@@ -290,6 +310,149 @@ TEST(ServingEngine, BatchingSavesExactlyTheSkippedReconfigurations) {
         << i;
   }
   EXPECT_EQ(with.horizon, without.horizon - with.reconfig_savings);
+}
+
+// Shard-parallel followers skip the smallest per-chip reconfiguration span:
+// every chip skips at least that much, so the cluster makespan shrinks by
+// it and everything after shifts by the running sum.
+TEST(ServingEngine, ShardBatchingSavesTheSmallestChipReconfiguration) {
+  const graph::Dataset ds = make_test_dataset(40, 90, 51);
+  const core::AuroraConfig config = small_config();
+  cluster::ClusterParams cluster_params;
+  cluster_params.num_chips = 2;
+
+  const auto replay = [&](std::uint32_t max_batch) {
+    serving::ServingParams params = closed_loop_params(max_batch);
+    params.mode = cluster::DispatchMode::kShardParallel;
+    serving::ServingEngine engine(config, cluster_params, params);
+    return engine.replay(ds, same_model_requests(ds.spec, 3));
+  };
+  const serving::ServingReport without = replay(1);
+  const serving::ServingReport with = replay(3);
+
+  cluster::ClusterEngine engine(config, cluster_params);
+  const cluster::ClusterRunMetrics run = engine.run(
+      ds, core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8));
+  ASSERT_EQ(run.chips.size(), 2u);
+  const Cycle min_chip_reconfig =
+      std::min(run.chips[0].metrics.reconfig_cycles,
+               run.chips[1].metrics.reconfig_cycles);
+  ASSERT_GT(min_chip_reconfig, 0u);
+
+  ASSERT_EQ(without.served.size(), 3u);
+  ASSERT_EQ(with.served.size(), 3u);
+  EXPECT_EQ(with.batches, 1u);
+  EXPECT_EQ(with.batched_followers, 2u);
+  Cycle cumulative_saved = 0;
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto& b = with.served[i];
+    const auto& s = without.served[i];
+    EXPECT_EQ(b.reconfig_saved, i == 0 ? 0 : min_chip_reconfig) << i;
+    EXPECT_EQ(b.start, s.start - cumulative_saved) << i;
+    cumulative_saved += b.reconfig_saved;
+    EXPECT_EQ(b.finish, s.finish - cumulative_saved) << i;
+  }
+  EXPECT_EQ(with.reconfig_savings, cumulative_saved);
+  EXPECT_EQ(with.horizon, without.horizon - cumulative_saved);
+}
+
+// ----------------------------------------------------------- golden
+
+/// The report's JSON plus every served request's integer metrics.
+std::uint64_t fingerprint(const serving::ServingReport& report) {
+  Fingerprint f;
+  f.add(serving::serving_report_json(report));
+  for (const serving::ServedRequest& r : report.served) {
+    f.add(r.overlap_hidden);
+    f.add(r.reconfig_saved);
+    f.add(r.metrics);
+  }
+  return f.value();
+}
+
+// A closed-loop replay (every arrival at cycle 0, no batching, unbounded
+// queue) for every chip count and dispatch mode. The fingerprints were
+// recorded while the single-chip and cluster schedulers still had their own
+// closed-loop run() loops, which matched these replays field for field; any
+// refactor of the dispatch path must leave them unchanged.
+TEST(ServingGolden, ClosedLoopMatchesSchedulers) {
+  struct Cell {
+    std::uint32_t chips;
+    cluster::DispatchMode mode;
+    std::uint64_t expected;
+  };
+  constexpr auto kData = cluster::DispatchMode::kDataParallel;
+  constexpr auto kShard = cluster::DispatchMode::kShardParallel;
+  const Cell cells[] = {
+      {1, kData, 0x098ef3b3a8888d51ULL}, {1, kShard, 0x5ebcc8469b4223a2ULL},
+      {2, kData, 0x57bedc45ca6d88b2ULL}, {2, kShard, 0xd9622b46f33a1354ULL},
+      {4, kData, 0x4b9a3e1b0f17d1b0ULL}, {4, kShard, 0xb441954fad6df262ULL},
+  };
+  const graph::Dataset ds = make_test_dataset(60, 150, 9);
+  const core::AuroraConfig config = small_config();
+  for (const Cell& cell : cells) {
+    const std::string where = std::to_string(cell.chips) + " chip(s), " +
+                              cluster::dispatch_mode_name(cell.mode);
+    cluster::ClusterParams cluster_params;
+    cluster_params.num_chips = cell.chips;
+    serving::ServingParams params = closed_loop_params();
+    params.mode = cell.mode;
+    serving::ServingEngine engine(config, cluster_params, params);
+    const serving::ServingReport report =
+        engine.replay(ds, mixed_requests(ds.spec));
+    ASSERT_EQ(report.served.size(), 4u) << where;
+    EXPECT_EQ(fingerprint(report), cell.expected)
+        << where << ": actual 0x" << std::hex << fingerprint(report);
+  }
+}
+
+// Chip faults under batching: failed attempts collapse onto the failure
+// instant, retries re-dispatch, followers skip reconfiguration, and (shard
+// mode) a gang with a down chip falls back to a data-parallel placement.
+TEST(ServingGolden, FaultedBatchedReplayFingerprintsUnchanged) {
+  struct Cell {
+    cluster::DispatchMode mode;
+    std::uint64_t expected;
+  };
+  const Cell cells[] = {
+      {cluster::DispatchMode::kDataParallel, 0x642df4e0825da66fULL},
+      {cluster::DispatchMode::kShardParallel, 0xecdd766c35c49764ULL},
+  };
+  const graph::Dataset ds = make_test_dataset(60, 150, 9);
+  std::vector<serving::ServingRequest> requests;
+  for (std::size_t i = 0; i < 12; ++i) {
+    serving::ServingRequest r;
+    r.id = i;
+    r.job = core::GnnJob::two_layer(
+        i % 3 == 2 ? gnn::GnnModel::kAgnn : gnn::GnnModel::kGcn, ds.spec, 8);
+    r.label = "r" + std::to_string(i);
+    r.arrival = 400 * i;
+    requests.push_back(std::move(r));
+  }
+  fault::FaultParams faults;
+  faults.seed = 3;
+  faults.horizon = 100'000;
+  faults.chip_mtbf = 3'000.0;
+  faults.chip_mttr = 1'000.0;
+  const auto plan = std::make_shared<fault::FaultPlan>(
+      fault::FaultPlan::generate(faults, 2));
+  for (const Cell& cell : cells) {
+    cluster::ClusterParams cluster_params;
+    cluster_params.num_chips = 2;
+    serving::ServingParams params = closed_loop_params(/*max_batch=*/4);
+    params.mode = cell.mode;
+    serving::ServingEngine engine(small_config(), cluster_params, params);
+    engine.set_fault_plan(plan);
+    const serving::ServingReport report = engine.replay(ds, requests);
+    const std::string where = cluster::dispatch_mode_name(cell.mode);
+    EXPECT_GT(report.failed_attempts, 0u) << where;
+    EXPECT_GT(report.batched_followers, 0u) << where;
+    if (cell.mode == cluster::DispatchMode::kShardParallel) {
+      EXPECT_GT(report.shard_fallbacks, 0u);
+    }
+    EXPECT_EQ(fingerprint(report), cell.expected)
+        << where << ": actual 0x" << std::hex << fingerprint(report);
+  }
 }
 
 TEST(ServingEngine, OpenLoopRunIsSeedDeterministic) {
