@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus a sanitizer pass.
 #
-# 1. Clean-ish release build + full test suite (the tier-1 gate).
+# 1. Clean-ish release build + full test suite (the tier-1 gate), then the
+#    perfbench checker self-test.
 # 2. Fast-forward vs lockstep wall-clock microbenchmark (JSON on stdout).
 # 3. AddressSanitizer + UBSan build (-DAURORA_SANITIZE=ON) running the test
 #    suite and a small parallel comparison grid (--jobs > 1) to shake out
@@ -17,6 +18,12 @@ echo "== tier-1: release build + tests =="
 cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
+
+echo "== perfbench checker self-test =="
+# Corrupted RunMetrics, ClusterRunMetrics and ServingReport copies must each
+# fail the benchmark's correctness checker, which diffs through
+# diff_run_metrics, diff_cluster_run_metrics and diff_serving_reports.
+python3 perfbench/run.py --selftest
 
 echo "== simspeed microbenchmark =="
 ./build/bench/micro_simspeed

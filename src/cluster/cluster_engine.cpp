@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "common/metrics_registry.hpp"
 #include "common/parallel.hpp"
-#include "core/report.hpp"
 #include "gnn/workflow.hpp"
 #include "sim/invariants.hpp"
 #include "sim/simulator.hpp"
@@ -376,85 +375,6 @@ void ClusterEngine::register_metrics(MetricsRegistry& registry) {
                    "register_metrics needs a completed cluster run");
   link_->register_metrics(registry);
   for (auto& proxy : proxies_) proxy->register_metrics(registry);
-}
-
-namespace {
-
-void diff_field(std::vector<std::string>& out, const std::string& name,
-                std::uint64_t a, std::uint64_t b) {
-  if (a != b) {
-    out.push_back(name + ": " + std::to_string(a) + " != " +
-                  std::to_string(b));
-  }
-}
-
-void diff_link_stats(std::vector<std::string>& out, const std::string& prefix,
-                     const LinkStats& a, const LinkStats& b) {
-  diff_field(out, prefix + ".messages_sent", a.messages_sent,
-             b.messages_sent);
-  diff_field(out, prefix + ".messages_delivered", a.messages_delivered,
-             b.messages_delivered);
-  diff_field(out, prefix + ".bytes_sent", a.bytes_sent, b.bytes_sent);
-  diff_field(out, prefix + ".bytes_delivered", a.bytes_delivered,
-             b.bytes_delivered);
-  diff_field(out, prefix + ".hops", a.hops, b.hops);
-  diff_field(out, prefix + ".bytes_hopped", a.bytes_hopped, b.bytes_hopped);
-  diff_field(out, prefix + ".serialize_cycles", a.serialize_cycles,
-             b.serialize_cycles);
-  diff_field(out, prefix + ".stall_cycles", a.stall_cycles, b.stall_cycles);
-  diff_field(out, prefix + ".degraded_sends", a.degraded_sends,
-             b.degraded_sends);
-  diff_field(out, prefix + ".degraded_extra_cycles", a.degraded_extra_cycles,
-             b.degraded_extra_cycles);
-  diff_field(out, prefix + ".latency.total", a.latency.total(),
-             b.latency.total());
-  for (std::size_t i = 0; i < a.latency.num_buckets(); ++i) {
-    diff_field(out, prefix + ".latency.bucket" + std::to_string(i),
-               a.latency.bucket_count(i), b.latency.bucket_count(i));
-  }
-}
-
-}  // namespace
-
-std::vector<std::string> diff_cluster_run_metrics(const ClusterRunMetrics& a,
-                                                  const ClusterRunMetrics& b) {
-  std::vector<std::string> out;
-  diff_field(out, "total_cycles", a.total_cycles, b.total_cycles);
-  diff_field(out, "cut_edges", a.cut_edges, b.cut_edges);
-  diff_field(out, "ghost_vertices", a.ghost_vertices, b.ghost_vertices);
-  if (a.replication_factor != b.replication_factor) {
-    out.push_back("replication_factor differs");
-  }
-  diff_field(out, "chips.size", a.chips.size(), b.chips.size());
-  if (a.chips.size() == b.chips.size()) {
-    for (std::size_t c = 0; c < a.chips.size(); ++c) {
-      const std::string prefix = "chip" + std::to_string(c);
-      for (const std::string& d :
-           core::diff_run_metrics(a.chips[c].metrics, b.chips[c].metrics)) {
-        out.push_back(prefix + ".metrics." + d);
-      }
-      diff_field(out, prefix + ".finish_cycle", a.chips[c].finish_cycle,
-                 b.chips[c].finish_cycle);
-      diff_field(out, prefix + ".halo_wait_cycles",
-                 a.chips[c].halo_wait_cycles, b.chips[c].halo_wait_cycles);
-      diff_field(out, prefix + ".halo_bytes_sent", a.chips[c].halo_bytes_sent,
-                 b.chips[c].halo_bytes_sent);
-      diff_field(out, prefix + ".halo_bytes_received",
-                 a.chips[c].halo_bytes_received,
-                 b.chips[c].halo_bytes_received);
-    }
-  }
-  diff_link_stats(out, "link", a.link, b.link);
-  for (const auto& [name, value] : a.counters.all()) {
-    diff_field(out, "counter." + name, value, b.counters.get(name));
-  }
-  for (const auto& [name, value] : b.counters.all()) {
-    if (a.counters.all().count(name) == 0) {
-      out.push_back("counter." + name + ": missing != " +
-                    std::to_string(value));
-    }
-  }
-  return out;
 }
 
 }  // namespace aurora::cluster

@@ -33,6 +33,7 @@
 
 #include "cluster/interchip.hpp"
 #include "cluster/shard.hpp"
+#include "common/fields.hpp"
 #include "core/aurora.hpp"
 #include "sim/trace.hpp"
 
@@ -136,6 +137,15 @@ struct ChipRun {
   Cycle halo_wait_cycles = 0;
   Bytes halo_bytes_sent = 0;
   Bytes halo_bytes_received = 0;
+
+  /// The one member list (see common/fields.hpp).
+  static void visit_fields(auto&& f, auto&... objs) {
+    f("metrics", objs.metrics...);
+    f("finish_cycle", objs.finish_cycle...);
+    f("halo_wait_cycles", objs.halo_wait_cycles...);
+    f("halo_bytes_sent", objs.halo_bytes_sent...);
+    f("halo_bytes_received", objs.halo_bytes_received...);
+  }
 };
 
 struct ClusterRunMetrics {
@@ -150,6 +160,17 @@ struct ClusterRunMetrics {
   EdgeId cut_edges = 0;
   VertexId ghost_vertices = 0;
   double replication_factor = 1.0;
+
+  /// The one member list (see common/fields.hpp).
+  static void visit_fields(auto&& f, auto&... objs) {
+    f("total_cycles", objs.total_cycles...);
+    f("chips", objs.chips...);
+    f("link", objs.link...);
+    f("counters", objs.counters...);
+    f("cut_edges", objs.cut_edges...);
+    f("ghost_vertices", objs.ghost_vertices...);
+    f("replication_factor", objs.replication_factor...);
+  }
 
   [[nodiscard]] Cycle max_halo_wait_cycles() const;
 };
@@ -190,12 +211,14 @@ class ClusterEngine {
   std::vector<std::unique_ptr<ChipProxy>> proxies_;
 };
 
-/// Field-by-field comparison of two cluster runs: total cycles, shard
-/// metadata, per-chip engine metrics and halo fields, link stats including
-/// every latency histogram bucket, and the counter sets. Returns
-/// human-readable mismatch lines; empty means bit-identical. Shared by the
-/// differential fuzzer, the bit-identity tests and the microbenchmark.
-[[nodiscard]] std::vector<std::string> diff_cluster_run_metrics(
-    const ClusterRunMetrics& a, const ClusterRunMetrics& b);
+/// Exact comparison of two cluster runs, one "name: a != b" line per
+/// mismatching member (empty = bit-identical). Complete by construction:
+/// fields::diff walks ClusterRunMetrics::visit_fields, down to every chip's
+/// RunMetrics and every link latency bucket. Ignores "sim.cycles_skipped" in
+/// every counter set. Shared by the fuzzer, the tests and the benchmarks.
+[[nodiscard]] inline std::vector<std::string> diff_cluster_run_metrics(
+    const ClusterRunMetrics& a, const ClusterRunMetrics& b) {
+  return fields::diff(a, b);
+}
 
 }  // namespace aurora::cluster

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/metrics_registry.hpp"
@@ -225,21 +226,21 @@ void InterChipLink::verify_invariants(sim::InvariantReport& report) const {
 
 void InterChipLink::register_metrics(MetricsRegistry& registry) {
   const auto scope = registry.scope("cluster.link");
-  scope.counter("messages_sent", &stats_.messages_sent);
-  scope.counter("messages_delivered", &stats_.messages_delivered);
-  scope.counter("bytes_sent", &stats_.bytes_sent);
-  scope.counter("bytes_delivered", &stats_.bytes_delivered);
-  scope.counter("hops", &stats_.hops);
-  scope.counter("serialize_cycles", &stats_.serialize_cycles);
-  scope.counter("stall_cycles", &stats_.stall_cycles);
-  scope.counter("degraded_sends", &stats_.degraded_sends);
-  scope.counter("degraded_extra_cycles", &stats_.degraded_extra_cycles);
+  LinkStats::visit_fields(
+      [&scope](const char* name, const auto& member) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(member)>,
+                                     Histogram>) {
+          scope.histogram(name, &member);
+        } else {
+          scope.counter(name, &member);
+        }
+      },
+      stats_);
   scope.gauge("messages_in_flight", [this] {
     return static_cast<double>(messages_in_flight());
   });
   scope.gauge("bytes_in_flight",
               [this] { return static_cast<double>(bytes_in_flight()); });
-  scope.histogram("latency", &stats_.latency);
 }
 
 }  // namespace aurora::cluster

@@ -112,6 +112,21 @@ struct LinkStats {
   Cycle degraded_extra_cycles = 0;
   /// Injection-to-delivery latency distribution (canonical cluster layout).
   Histogram latency{kLinkLatencyBucketCycles, kLinkLatencyBuckets};
+
+  /// The one member list (see common/fields.hpp).
+  static void visit_fields(auto&& f, auto&... objs) {
+    f("messages_sent", objs.messages_sent...);
+    f("messages_delivered", objs.messages_delivered...);
+    f("bytes_sent", objs.bytes_sent...);
+    f("bytes_delivered", objs.bytes_delivered...);
+    f("hops", objs.hops...);
+    f("bytes_hopped", objs.bytes_hopped...);
+    f("serialize_cycles", objs.serialize_cycles...);
+    f("stall_cycles", objs.stall_cycles...);
+    f("degraded_sends", objs.degraded_sends...);
+    f("degraded_extra_cycles", objs.degraded_extra_cycles...);
+    f("latency", objs.latency...);
+  }
 };
 
 class InterChipLink final : public sim::Component {
@@ -146,8 +161,8 @@ class InterChipLink final : public sim::Component {
   /// Conservation: messages/bytes sent == delivered + in flight; histogram
   /// totals match deliveries; after drain, every queue and wire is empty.
   void verify_invariants(sim::InvariantReport& report) const override;
-  /// Counters, the in-flight gauge and the latency histogram under
-  /// "cluster.link.".
+  /// Every LinkStats member (as named by LinkStats::visit_fields) and the
+  /// two in-flight gauges under "cluster.link.".
   void register_metrics(MetricsRegistry& registry) override;
 
  private:

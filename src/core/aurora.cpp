@@ -57,39 +57,22 @@ GnnJob GnnJob::preset(gnn::GnnModel model, const graph::DatasetSpec& spec,
 }
 
 RunMetrics& RunMetrics::operator+=(const RunMetrics& other) {
-  total_cycles += other.total_cycles;
-  compute_cycles += other.compute_cycles;
-  onchip_comm_cycles += other.onchip_comm_cycles;
-  dram_cycles += other.dram_cycles;
-  reconfig_cycles += other.reconfig_cycles;
-  dram_bytes += other.dram_bytes;
-  dram_accesses += other.dram_accesses;
-  noc_messages += other.noc_messages;
+  const double hops = avg_hops;
+  const double util = utilization;
+  const double pe_util = pe_utilization;
+  fields::add(*this, other);
   // Weighted by message count so the combined average stays meaningful.
-  const double total_msgs =
-      static_cast<double>(noc_messages);
+  avg_hops = hops;
+  const double total_msgs = static_cast<double>(noc_messages);
   if (total_msgs > 0) {
-    avg_hops = (avg_hops * (total_msgs -
-                            static_cast<double>(other.noc_messages)) +
+    avg_hops = (hops * (total_msgs - static_cast<double>(other.noc_messages)) +
                 other.avg_hops * static_cast<double>(other.noc_messages)) /
                total_msgs;
   }
-  bypass_messages += other.bypass_messages;
-  events += other.events;
-  energy += other.energy;
   partition_a = other.partition_a;  // keep the latest layer's decision
   partition_b = other.partition_b;
-  num_subgraphs += other.num_subgraphs;
-  reconfigurations += other.reconfigurations;
-  switch_writes += other.switch_writes;
-  utilization = (utilization + other.utilization) / 2.0;
-  if (!other.noc_heatmap.empty()) noc_heatmap = other.noc_heatmap;
-  if (!other.pe_heatmap.empty()) pe_heatmap = other.pe_heatmap;
-  counters.merge(other.counters);
-  pe_utilization = (pe_utilization + other.pe_utilization) / 2.0;
-  for (std::size_t p = 0; p < phases.size(); ++p) phases[p] += other.phases[p];
-  noc_packet_latency.merge(other.noc_packet_latency);
-  dram_request_latency.merge(other.dram_request_latency);
+  utilization = (util + other.utilization) / 2.0;
+  pe_utilization = (pe_util + other.pe_utilization) / 2.0;
   return *this;
 }
 

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "energy/energy_model.hpp"
@@ -30,11 +31,11 @@ struct PhaseMetrics {
   /// NoC messages sent on behalf of the phase. Sums to noc_messages.
   std::uint64_t noc_messages = 0;
 
-  PhaseMetrics& operator+=(const PhaseMetrics& other) {
-    active_cycles += other.active_cycles;
-    dram_bytes += other.dram_bytes;
-    noc_messages += other.noc_messages;
-    return *this;
+  /// The one member list (see common/fields.hpp).
+  static void visit_fields(auto&& f, auto&... objs) {
+    f("active_cycles", objs.active_cycles...);
+    f("dram_bytes", objs.dram_bytes...);
+    f("noc_messages", objs.noc_messages...);
   }
 };
 
@@ -97,6 +98,38 @@ struct RunMetrics {
   Histogram dram_request_latency{kDramLatencyBucketCycles,
                                  kDramLatencyBuckets};
 
+  /// The one member list (see common/fields.hpp).
+  static void visit_fields(auto&& f, auto&... objs) {
+    f("total_cycles", objs.total_cycles...);
+    f("compute_cycles", objs.compute_cycles...);
+    f("onchip_comm_cycles", objs.onchip_comm_cycles...);
+    f("dram_cycles", objs.dram_cycles...);
+    f("reconfig_cycles", objs.reconfig_cycles...);
+    f("dram_bytes", objs.dram_bytes...);
+    f("dram_accesses", objs.dram_accesses...);
+    f("noc_messages", objs.noc_messages...);
+    f("avg_hops", objs.avg_hops...);
+    f("bypass_messages", objs.bypass_messages...);
+    f("events", objs.events...);
+    f("energy", objs.energy...);
+    f("partition_a", objs.partition_a...);
+    f("partition_b", objs.partition_b...);
+    f("num_subgraphs", objs.num_subgraphs...);
+    f("reconfigurations", objs.reconfigurations...);
+    f("switch_writes", objs.switch_writes...);
+    f("utilization", objs.utilization...);
+    f("noc_heatmap", objs.noc_heatmap...);
+    f("pe_heatmap", objs.pe_heatmap...);
+    f("counters", objs.counters...);
+    f("pe_utilization", objs.pe_utilization...);
+    f("phases", objs.phases...);
+    f("noc_packet_latency", objs.noc_packet_latency...);
+    f("dram_request_latency", objs.dram_request_latency...);
+  }
+
+  /// Accumulates a later layer: member-wise sums (fields::add), except
+  /// avg_hops (weighted by message count), partition_a/b (the later
+  /// layer's decision) and utilization/pe_utilization (pairwise mean).
   RunMetrics& operator+=(const RunMetrics& other);
 
   [[nodiscard]] double total_seconds(double frequency_mhz) const {

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "core/metrics.hpp"
 
 namespace aurora::core {
@@ -19,15 +20,15 @@ struct NamedRun {
 /// RunMetrics as a single JSON object (stable key order).
 [[nodiscard]] std::string metrics_to_json(const RunMetrics& metrics);
 
-/// Field-by-field comparison of two RunMetrics, one "name: a != b" line per
-/// mismatching field (empty = bit-identical). Covers every scalar, phase,
-/// histogram bucket, counter and heatmap. The "sim.cycles_skipped" counter
-/// is ignored: it reports scheduler work (how many cycles fast-forward
-/// jumped), not modelled behaviour, and legitimately differs between
-/// lockstep and fast-forward runs. Used by the differential fuzzer and the
-/// scheduler-equivalence tests.
-[[nodiscard]] std::vector<std::string> diff_run_metrics(const RunMetrics& a,
-                                                        const RunMetrics& b);
+/// Exact comparison of two RunMetrics, one "name: a != b" line per
+/// mismatching member (empty = bit-identical). Complete by construction:
+/// fields::diff walks RunMetrics::visit_fields. Ignores "sim.cycles_skipped"
+/// in every counter set (scheduler work, not modelled behaviour). Used by
+/// the differential fuzzer and the engine-equivalence tests.
+[[nodiscard]] inline std::vector<std::string> diff_run_metrics(
+    const RunMetrics& a, const RunMetrics& b) {
+  return fields::diff(a, b);
+}
 
 /// A list of named runs as a JSON array.
 [[nodiscard]] std::string runs_to_json(const std::vector<NamedRun>& runs);

@@ -2,30 +2,6 @@
 
 namespace aurora::energy {
 
-EnergyEvents& EnergyEvents::operator+=(const EnergyEvents& other) {
-  fp_multiplies += other.fp_multiplies;
-  fp_adds += other.fp_adds;
-  sram_small_bytes += other.sram_small_bytes;
-  sram_large_bytes += other.sram_large_bytes;
-  dram_bytes += other.dram_bytes;
-  noc_link_bytes += other.noc_link_bytes;
-  router_bytes += other.router_bytes;
-  bypass_link_bytes += other.bypass_link_bytes;
-  reconfig_switch_writes += other.reconfig_switch_writes;
-  active_cycles += other.active_cycles;
-  return *this;
-}
-
-EnergyBreakdown& EnergyBreakdown::operator+=(const EnergyBreakdown& other) {
-  compute_pj += other.compute_pj;
-  sram_pj += other.sram_pj;
-  dram_pj += other.dram_pj;
-  noc_pj += other.noc_pj;
-  reconfig_pj += other.reconfig_pj;
-  leakage_pj += other.leakage_pj;
-  return *this;
-}
-
 EnergyBreakdown compute_energy(const EnergyEvents& e, const EnergyTable& t) {
   EnergyBreakdown b;
   b.compute_pj = static_cast<double>(e.fp_multiplies) * t.fp_mul_pj +

@@ -13,6 +13,7 @@
 #include <map>
 #include <string>
 
+#include "common/fields.hpp"
 #include "common/types.hpp"
 
 namespace aurora::energy {
@@ -48,7 +49,24 @@ struct EnergyEvents {
   std::uint64_t reconfig_switch_writes = 0;
   Cycle active_cycles = 0;
 
-  EnergyEvents& operator+=(const EnergyEvents& other);
+  /// The one member list (see common/fields.hpp).
+  static void visit_fields(auto&& f, auto&... objs) {
+    f("fp_multiplies", objs.fp_multiplies...);
+    f("fp_adds", objs.fp_adds...);
+    f("sram_small_bytes", objs.sram_small_bytes...);
+    f("sram_large_bytes", objs.sram_large_bytes...);
+    f("dram_bytes", objs.dram_bytes...);
+    f("noc_link_bytes", objs.noc_link_bytes...);
+    f("router_bytes", objs.router_bytes...);
+    f("bypass_link_bytes", objs.bypass_link_bytes...);
+    f("reconfig_switch_writes", objs.reconfig_switch_writes...);
+    f("active_cycles", objs.active_cycles...);
+  }
+  // Inline: the PE model adds one micro-op's events per executed task.
+  EnergyEvents& operator+=(const EnergyEvents& other) {
+    fields::add(*this, other);
+    return *this;
+  }
 };
 
 /// Energy in picojoules, broken down by source.
@@ -60,11 +78,24 @@ struct EnergyBreakdown {
   double reconfig_pj = 0.0;
   double leakage_pj = 0.0;
 
+  /// The one member list (see common/fields.hpp).
+  static void visit_fields(auto&& f, auto&... objs) {
+    f("compute_pj", objs.compute_pj...);
+    f("sram_pj", objs.sram_pj...);
+    f("dram_pj", objs.dram_pj...);
+    f("noc_pj", objs.noc_pj...);
+    f("reconfig_pj", objs.reconfig_pj...);
+    f("leakage_pj", objs.leakage_pj...);
+  }
+
   [[nodiscard]] double total_pj() const {
     return compute_pj + sram_pj + dram_pj + noc_pj + reconfig_pj + leakage_pj;
   }
   [[nodiscard]] double total_mj() const { return total_pj() * 1e-9; }
-  EnergyBreakdown& operator+=(const EnergyBreakdown& other);
+  EnergyBreakdown& operator+=(const EnergyBreakdown& other) {
+    fields::add(*this, other);
+    return *this;
+  }
 };
 
 /// Convert event counts to energy under `table`.

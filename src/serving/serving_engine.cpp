@@ -150,55 +150,6 @@ std::string serving_report_json(const ServingReport& report) {
   return os.str();
 }
 
-std::vector<std::string> diff_serving_reports(const ServingReport& a,
-                                              const ServingReport& b) {
-  std::vector<std::string> diffs;
-  const auto field = [&diffs](const std::string& name, auto va, auto vb) {
-    if (va == vb) return;
-    std::ostringstream os;
-    os << name << ": " << va << " vs " << vb;
-    diffs.push_back(os.str());
-  };
-  field("generated", a.generated, b.generated);
-  field("admitted", a.admitted, b.admitted);
-  field("shed", a.shed, b.shed);
-  field("batches", a.batches, b.batches);
-  field("batched_followers", a.batched_followers, b.batched_followers);
-  field("failed_attempts", a.failed_attempts, b.failed_attempts);
-  field("retries", a.retries, b.retries);
-  field("failed_over", a.failed_over, b.failed_over);
-  field("failed_permanently", a.failed_permanently, b.failed_permanently);
-  field("shed_expired", a.shed_expired, b.shed_expired);
-  field("shard_fallbacks", a.shard_fallbacks, b.shard_fallbacks);
-  field("overlap_savings", a.overlap_savings, b.overlap_savings);
-  field("reconfig_savings", a.reconfig_savings, b.reconfig_savings);
-  field("horizon", a.horizon, b.horizon);
-  field("served.size", a.served.size(), b.served.size());
-  const std::size_t n = std::min(a.served.size(), b.served.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const ServedRequest& ra = a.served[i];
-    const ServedRequest& rb = b.served[i];
-    const std::string p = "served[" + std::to_string(i) + "].";
-    field(p + "id", ra.id, rb.id);
-    field(p + "label", ra.label, rb.label);
-    field(p + "tenant", ra.tenant, rb.tenant);
-    field(p + "priority", ra.priority, rb.priority);
-    field(p + "chip", ra.chip, rb.chip);
-    field(p + "arrival", ra.arrival, rb.arrival);
-    field(p + "start", ra.start, rb.start);
-    field(p + "finish", ra.finish, rb.finish);
-    field(p + "deadline", ra.deadline, rb.deadline);
-    field(p + "batched_follower", ra.batched_follower, rb.batched_follower);
-    field(p + "overlap_hidden", ra.overlap_hidden, rb.overlap_hidden);
-    field(p + "reconfig_saved", ra.reconfig_saved, rb.reconfig_saved);
-    field(p + "retries", ra.retries, rb.retries);
-    field(p + "failed_over", ra.failed_over, rb.failed_over);
-    field(p + "total_cycles", ra.metrics.total_cycles,
-          rb.metrics.total_cycles);
-  }
-  return diffs;
-}
-
 ServingEngine::ServingEngine(const core::AuroraConfig& config,
                              const cluster::ClusterParams& cluster_params,
                              const ServingParams& params)

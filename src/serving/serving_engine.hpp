@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "cluster/cluster_scheduler.hpp"
+#include "common/fields.hpp"
 #include "fault/fault.hpp"
 #include "serving/arrival.hpp"
 #include "serving/request_queue.hpp"
@@ -100,6 +101,25 @@ struct ServedRequest {
   bool failed_over = false;
   core::RunMetrics metrics;
 
+  /// The one member list (see common/fields.hpp).
+  static void visit_fields(auto&& f, auto&... objs) {
+    f("id", objs.id...);
+    f("tenant", objs.tenant...);
+    f("priority", objs.priority...);
+    f("label", objs.label...);
+    f("chip", objs.chip...);
+    f("arrival", objs.arrival...);
+    f("start", objs.start...);
+    f("finish", objs.finish...);
+    f("deadline", objs.deadline...);
+    f("batched_follower", objs.batched_follower...);
+    f("overlap_hidden", objs.overlap_hidden...);
+    f("reconfig_saved", objs.reconfig_saved...);
+    f("retries", objs.retries...);
+    f("failed_over", objs.failed_over...);
+    f("metrics", objs.metrics...);
+  }
+
   [[nodiscard]] Cycle queue_wait() const { return start - arrival; }
   [[nodiscard]] Cycle service_time() const { return finish - start; }
   [[nodiscard]] Cycle latency() const { return finish - arrival; }
@@ -141,6 +161,30 @@ struct ServingReport {
   cluster::DispatchMode mode = cluster::DispatchMode::kDataParallel;
   std::uint32_t num_chips = 1;
 
+  /// The one member list (see common/fields.hpp).
+  static void visit_fields(auto&& f, auto&... objs) {
+    f("served", objs.served...);
+    f("generated", objs.generated...);
+    f("admitted", objs.admitted...);
+    f("shed", objs.shed...);
+    f("batches", objs.batches...);
+    f("batched_followers", objs.batched_followers...);
+    f("failed_attempts", objs.failed_attempts...);
+    f("retries", objs.retries...);
+    f("failed_over", objs.failed_over...);
+    f("failed_permanently", objs.failed_permanently...);
+    f("shed_expired", objs.shed_expired...);
+    f("shard_fallbacks", objs.shard_fallbacks...);
+    f("overlap_savings", objs.overlap_savings...);
+    f("reconfig_savings", objs.reconfig_savings...);
+    f("horizon", objs.horizon...);
+    f("slo_cycles", objs.slo_cycles...);
+    f("frequency_mhz", objs.frequency_mhz...);
+    f("arrival_kind", objs.arrival_kind...);
+    f("mode", objs.mode...);
+    f("num_chips", objs.num_chips...);
+  }
+
   [[nodiscard]] double shed_rate() const;
   [[nodiscard]] std::uint64_t met_slo_count() const;
   /// Requests completed within their SLO per second of serving horizon.
@@ -157,13 +201,15 @@ struct ServingReport {
 /// The report as a JSON object (schema "aurora.serving.v1").
 [[nodiscard]] std::string serving_report_json(const ServingReport& report);
 
-/// Field-by-field comparison of two serving reports: every scalar
-/// (admission, batching, availability and savings counters, horizon) and
-/// every served request's identity, placement, timing and retry fields.
-/// Returns human-readable mismatch lines; empty means bit-identical.
-/// Shared by the differential fuzzer and the bit-identity tests.
-[[nodiscard]] std::vector<std::string> diff_serving_reports(
-    const ServingReport& a, const ServingReport& b);
+/// Exact comparison of two serving reports, one "name: a != b" line per
+/// mismatching member (empty = bit-identical). Complete by construction:
+/// fields::diff walks ServingReport::visit_fields, down to the run's config
+/// and every served request's full RunMetrics. Ignores "sim.cycles_skipped"
+/// in every counter set. Shared by the fuzzer and the bit-identity tests.
+[[nodiscard]] inline std::vector<std::string> diff_serving_reports(
+    const ServingReport& a, const ServingReport& b) {
+  return fields::diff(a, b);
+}
 
 class ServingEngine {
  public:

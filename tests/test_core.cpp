@@ -11,6 +11,7 @@
 #include "core/frontend.hpp"
 #include "sim/simulator.hpp"
 #include "core/functional_engine.hpp"
+#include "core/report.hpp"
 #include "core/scheduler.hpp"
 #include "core/sub_accelerators.hpp"
 #include "gnn/reference.hpp"
@@ -290,33 +291,15 @@ TEST(CycleEngine, DeterministicAcrossRuns) {
 /// must match exactly, not approximately.
 void expect_identical_metrics(const RunMetrics& ff, const RunMetrics& ls,
                               const char* what) {
-  EXPECT_EQ(ff.total_cycles, ls.total_cycles) << what;
-  EXPECT_EQ(ff.compute_cycles, ls.compute_cycles) << what;
-  EXPECT_EQ(ff.onchip_comm_cycles, ls.onchip_comm_cycles) << what;
-  EXPECT_EQ(ff.dram_cycles, ls.dram_cycles) << what;
-  EXPECT_EQ(ff.reconfig_cycles, ls.reconfig_cycles) << what;
-  EXPECT_EQ(ff.dram_bytes, ls.dram_bytes) << what;
-  EXPECT_EQ(ff.dram_accesses, ls.dram_accesses) << what;
-  EXPECT_EQ(ff.noc_messages, ls.noc_messages) << what;
-  EXPECT_DOUBLE_EQ(ff.avg_hops, ls.avg_hops) << what;
-  EXPECT_EQ(ff.bypass_messages, ls.bypass_messages) << what;
-  EXPECT_EQ(ff.num_subgraphs, ls.num_subgraphs) << what;
-  EXPECT_EQ(ff.switch_writes, ls.switch_writes) << what;
-  EXPECT_DOUBLE_EQ(ff.pe_utilization, ls.pe_utilization) << what;
-  EXPECT_DOUBLE_EQ(ff.energy.total_pj(), ls.energy.total_pj()) << what;
-  EXPECT_EQ(ff.noc_heatmap, ls.noc_heatmap) << what;
-  EXPECT_EQ(ff.pe_heatmap, ls.pe_heatmap) << what;
-  // The counter map covers every component event the engine exports
-  // (noc.*, dram.* including refreshes and row hit/miss/conflict, pe.*).
-  // sim.cycles_skipped is the one intentional difference: it reports what
-  // the scheduler skipped, which is 0 by definition in lockstep.
-  auto ffc = ff.counters.all();
-  auto lsc = ls.counters.all();
-  EXPECT_GT(ffc["sim.cycles_skipped"], 0u) << what;  // jumps really happened
-  EXPECT_EQ(lsc["sim.cycles_skipped"], 0u) << what;
-  ffc.erase("sim.cycles_skipped");
-  lsc.erase("sim.cycles_skipped");
-  EXPECT_TRUE(ffc == lsc) << what;
+  // diff_run_metrics compares every member exactly (doubles included) and
+  // ignores only sim.cycles_skipped: it reports what the scheduler skipped,
+  // which is 0 by definition in lockstep.
+  const auto diffs = diff_run_metrics(ff, ls);
+  EXPECT_TRUE(diffs.empty()) << what << ": " << diffs.size()
+                             << " field(s) diverge; first: "
+                             << (diffs.empty() ? std::string() : diffs.front());
+  EXPECT_GT(ff.counters.get("sim.cycles_skipped"), 0u) << what;  // jumps
+  EXPECT_EQ(ls.counters.get("sim.cycles_skipped"), 0u) << what;
 }
 
 TEST(CycleEngine, FastForwardMatchesLockstepAcrossDatasets) {

@@ -541,6 +541,29 @@ TEST(ServingEngine, SerialAndParallelSimAgreeBitForBit) {
             serving::serving_report_json(parallel_report));
 }
 
+TEST(DiffServingReports, CatchesServedMetricsAndConfigMismatch) {
+  const graph::Dataset ds = make_test_dataset(40, 90, 51);
+  serving::ServingEngine engine(small_config(), cluster::ClusterParams{},
+                                closed_loop_params());
+  const serving::ServingReport report =
+      engine.replay(ds, same_model_requests(ds.spec, 2));
+  ASSERT_EQ(report.served.size(), 2u);
+  EXPECT_TRUE(serving::diff_serving_reports(report, report).empty());
+
+  serving::ServingReport drifted = report;
+  drifted.served[0].metrics.dram_bytes += 1;
+  const auto bytes = serving::diff_serving_reports(report, drifted);
+  ASSERT_EQ(bytes.size(), 1u);
+  EXPECT_EQ(bytes[0].rfind("served[0].metrics.dram_bytes: ", 0), 0u)
+      << bytes[0];
+
+  serving::ServingReport remoded = report;
+  remoded.mode = cluster::DispatchMode::kShardParallel;
+  const auto mode = serving::diff_serving_reports(report, remoded);
+  ASSERT_EQ(mode.size(), 1u);
+  EXPECT_EQ(mode[0].rfind("mode: ", 0), 0u) << mode[0];
+}
+
 TEST(ServingReport, JsonCarriesSchemaAndExactPercentiles) {
   serving::ServingReport report;
   report.generated = 4;
